@@ -3,7 +3,7 @@ plus numerical verification of the fibre and ideal-decomposition
 identities."""
 
 from .guards import check_size
-from .posets import Poset, PosetError
+from .posets import Poset, PosetError, _bits
 
 
 class SimplicialComplex:
@@ -76,7 +76,7 @@ def level_numbers(S):
 def is_cone(P):
     """Return the label of an element comparable with all others, or None."""
     for i in range(P.n):
-        if len(P.up[i]) + len(P.down[i]) - 1 == P.n:
+        if P.up[i].bit_count() + P.down[i].bit_count() - 1 == P.n:
             return P.labels[i]
     return None
 
@@ -92,7 +92,7 @@ class MonotoneMap:
         else:
             self.images = [target.idx(lab) for lab in assignment]
         for i, j in source.covers:
-            if self.images[j] not in target.up[self.images[i]]:
+            if not target.up[self.images[i]] >> self.images[j] & 1:
                 raise PosetError(
                     f"map is not order-preserving at "
                     f"{source.labels[i]!r} <= {source.labels[j]!r}")
@@ -100,7 +100,7 @@ class MonotoneMap:
     def fibre_below(self, y):
         """Indices of source elements mapped into the down-set of y."""
         return [x for x in range(self.source.n)
-                if y in self.target.up[self.images[x]]]
+                if self.target.up[self.images[x]] >> y & 1]
 
 
 def random_monotone_map(P, Q, seed):
@@ -115,13 +115,13 @@ def random_monotone_map(P, Q, seed):
         below.setdefault(j, []).append(i)
     # confining images to the down-set of one maximal element keeps the
     # set of valid choices nonempty at every step
-    maximal = [i for i in range(Q.n) if len(Q.up[i]) == 1]
+    maximal = [i for i in range(Q.n) if Q.up[i] == 1 << i]
     ceiling = Q.down[rng.choice(maximal)]
     for x in range(P.n):
-        allowed = set(ceiling)
+        allowed = ceiling
         for y in below.get(x, []):
             allowed &= Q.up[images[y]]
-        images[x] = rng.choice(sorted(allowed))
+        images[x] = rng.choice(list(_bits(allowed)))
     return MonotoneMap(P, Q, [Q.labels[i] for i in images])
 
 
@@ -134,7 +134,7 @@ def verify_baclawski(f):
     fibre_terms = []
     total = 0
     for y in range(Q.n):
-        above = Q.restrict([x for x in Q.up[y] if x != y])
+        above = Q.restrict(_bits(Q.up[y] ^ 1 << y))
         fibre = P.restrict(f.fibre_below(y))
         t_above = above.mobius_number()
         t_fibre = fibre.mobius_number()
@@ -151,8 +151,11 @@ def verify_ideal_decomposition(S, ideal_labels):
     """Check mu(S) = mu(P) + sum_{y in S\\P} mu(S_{y<}) mu(P_{<=y}) for a
     down-closed subset P of S."""
     ideal = {S.idx(lab) for lab in ideal_labels}
+    ideal_mask = 0
     for x in ideal:
-        if not set(S.down[x]) <= ideal:
+        ideal_mask |= 1 << x
+    for x in ideal:
+        if S.down[x] & ~ideal_mask:
             raise PosetError(
                 f"{S.labels[x]!r} is in the subset but some element below "
                 "it is not: not an ideal")
@@ -162,8 +165,8 @@ def verify_ideal_decomposition(S, ideal_labels):
     for y in range(S.n):
         if y in ideal:
             continue
-        above = S.restrict([x for x in S.up[y] if x != y])
-        below = S.restrict(ideal & S.down[y])
+        above = S.restrict(_bits(S.up[y] ^ 1 << y))
+        below = S.restrict(_bits(ideal_mask & S.down[y]))
         rhs += above.mobius_number() * below.mobius_number()
     return {"identity": "ideal decomposition", "lhs": lhs, "rhs": rhs,
             "pass": lhs == rhs, "witnesses": []}
@@ -176,7 +179,7 @@ def retract_check(S, f):
     if f.source is not S or f.target is not S:
         raise PosetError("retract_check needs a self-map of S")
     for x in range(S.n):
-        if x not in S.up[f.images[x]]:
+        if not S.up[f.images[x]] >> x & 1:
             problems.append({"kind": "not decreasing", "x": S.labels[x]})
         if f.images[f.images[x]] != f.images[x]:
             problems.append({"kind": "not idempotent", "x": S.labels[x]})

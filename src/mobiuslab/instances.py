@@ -87,6 +87,9 @@ def chain(n):
     """The chain 0 < 1 < ... < n (n + 1 elements)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    # every element is comparable with every other, so the up- and
+    # down-set masks hold about (n + 1)^2 / 16 bytes each
+    check_size("chain", n + 1, 2 * 10 ** 4)
     return Poset._from_arcs(list(range(n + 1)),
                             [(i, i + 1) for i in range(n)])
 
@@ -351,6 +354,6 @@ def truncate(L, k):
     labels = list(below.labels) + [top]
     pos = len(below.labels)
     arcs = [(i, j) for i, j in below.covers]
-    maximal = [i for i in range(below.n) if len(below.up[i]) == 1]
+    maximal = [i for i in range(below.n) if below.up[i] == 1 << i]
     arcs += [(i, pos) for i in maximal]
     return Lattice(Poset._from_arcs(labels, arcs))

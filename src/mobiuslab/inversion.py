@@ -4,7 +4,7 @@ determinant identity."""
 from math import comb, factorial
 
 from .exactmat import bareiss_det
-from .posets import PosetError
+from .posets import PosetError, _bits
 
 
 def _as_values(P, g):
@@ -19,26 +19,26 @@ def _as_values(P, g):
 def forward_up(P, f):
     """g(x) = sum_{y >= x} f(y)."""
     f = _as_values(P, f)
-    return [sum(f[y] for y in P.up[x]) for x in range(P.n)]
+    return [sum(f[y] for y in _bits(P.up[x])) for x in range(P.n)]
 
 
 def forward_down(P, f):
     """g(x) = sum_{y <= x} f(y)."""
     f = _as_values(P, f)
-    return [sum(f[y] for y in P.down[x]) for x in range(P.n)]
+    return [sum(f[y] for y in _bits(P.down[x])) for x in range(P.n)]
 
 
 def invert_up(P, g):
     """Recover f from its up-set sums: f(z) = sum_y mu(z, y) g(y)."""
     g = _as_values(P, g)
-    return [sum(P.mobius_idx(z, y) * g[y] for y in P.up[z])
+    return [sum(P.mobius_idx(z, y) * g[y] for y in _bits(P.up[z]))
             for z in range(P.n)]
 
 
 def invert_down(P, g):
     """Recover f from its down-set sums: f(z) = sum_y mu(y, z) g(y)."""
     g = _as_values(P, g)
-    return [sum(P.mobius_idx(y, z) * g[y] for y in P.down[z])
+    return [sum(P.mobius_idx(y, z) * g[y] for y in _bits(P.down[z]))
             for z in range(P.n)]
 
 
@@ -67,7 +67,7 @@ def lindstrom_wilf_det(P, f):
     """Build G with (G)_{xy} = sum_{z >= x, z >= y} f(z) and return
     (G, det G).  The determinant always equals the product of f."""
     f = _as_values(P, f)
-    G = [[sum(f[z] for z in P.up[x] & P.up[y]) for y in range(P.n)]
+    G = [[sum(f[z] for z in _bits(P.up[x] & P.up[y])) for y in range(P.n)]
          for x in range(P.n)]
     return G, bareiss_det(G)
 

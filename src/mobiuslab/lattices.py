@@ -3,7 +3,7 @@ suite (Weisner, cutsets, complements, modular factorization,
 point/hyperplane counting, Kung's theorem, point deletion)."""
 
 from .exactmat import bareiss_det, int_row_rank, mat_mul, transpose
-from .posets import PosetError
+from .posets import PosetError, _bits, _bound
 
 
 class LatticeError(PosetError):
@@ -31,8 +31,8 @@ class Lattice:
         n = poset.n
         if n == 0:
             raise LatticeError("empty poset is not a lattice")
-        minimals = [i for i in range(n) if len(poset.down[i]) == 1]
-        maximals = [i for i in range(n) if len(poset.up[i]) == 1]
+        minimals = [i for i in range(n) if poset.down[i] == 1 << i]
+        maximals = [i for i in range(n) if poset.up[i] == 1 << i]
         if len(minimals) != 1 or len(maximals) != 1:
             raise LatticeError("poset is not bounded: "
                                f"{len(minimals)} minimal / "
@@ -49,15 +49,15 @@ class Lattice:
                     self.join(i, j)
                     self.meet(i, j)
 
-    def _bound(self, i, j, sets, cache):
+    def _bound(self, i, j, meet):
+        cache = self._meet if meet else self._join
         key = (i, j) if i < j else (j, i)
         got = cache.get(key)
         if got is not None:
             return got
-        candidates = sets[i] & sets[j]
-        best = max(candidates, key=lambda u: len(sets[u]))
-        if not candidates <= sets[best]:
-            kind = "upper" if sets is self.poset.up else "lower"
+        best = _bound(self.poset.down if meet else self.poset.up, i, j, meet)
+        if best is None:
+            kind = "lower" if meet else "upper"
             raise LatticeError(
                 f"no least {kind} bound for witness pair "
                 f"({self.poset.labels[i]!r}, {self.poset.labels[j]!r})")
@@ -67,12 +67,12 @@ class Lattice:
     def join(self, i, j):
         if i == j:
             return i
-        return self._bound(i, j, self.poset.up, self._join)
+        return self._bound(i, j, False)
 
     def meet(self, i, j):
         if i == j:
             return i
-        return self._bound(i, j, self.poset.down, self._meet)
+        return self._bound(i, j, True)
 
     def join_set(self, indices):
         out = self.zero
@@ -118,7 +118,8 @@ class Lattice:
                 if self.meet(a, x) == self.zero and self.join(a, x) == self.one]
 
     def interval_lattice(self, a, b):
-        sub = self.poset.restrict(self.poset.up[a] & self.poset.down[b])
+        P = self.poset
+        sub = P.restrict(_bits(P.up[a] & P.down[b]))
         return Lattice(sub)
 
     def labels(self, indices):
@@ -149,7 +150,7 @@ def is_atomistic(L):
     for x in range(L.n):
         if x == L.zero:
             continue
-        below = [p for p in atoms if x in L.poset.up[p]]
+        below = [p for p in atoms if L.poset.up[p] >> x & 1]
         if L.join_set(below) != x:
             return False
     return True
@@ -167,7 +168,8 @@ def is_modular_element(L, a):
                   for b in range(L.n))
     comp = L.complements(a)
     up = L.poset.up
-    by_antichain = not any(y in up[x] for x in comp for y in comp if x != y)
+    by_antichain = not any(up[x] >> y & 1 for x in comp for y in comp
+                           if x != y)
     if by_rank != by_antichain:
         raise AssertionError(
             f"modularity criteria disagree at {L.poset.labels[a]!r}: "
@@ -179,7 +181,7 @@ def is_modular_lattice(L):
     """Dedekind equality a v (b ^ c) = (a v b) ^ c on all triples a <= c."""
     up = L.poset.up
     for a in range(L.n):
-        for c in up[a]:
+        for c in _bits(up[a]):
             for b in range(L.n):
                 if L.join(a, L.meet(b, c)) != L.meet(L.join(a, b), c):
                     return False
@@ -281,15 +283,17 @@ def _check_join_isomorphism(L, a, x):
     """Verify t -> t v x maps [x^a, a] bijectively and order-preservingly
     onto [x, x v a]."""
     lo, hi = L.meet(a, x), L.join(a, x)
-    source = sorted(L.poset.up[lo] & L.poset.down[a])
-    target = set(L.poset.up[x] & L.poset.down[hi])
-    image = [L.join(t, x) for t in source]
-    if sorted(set(image)) != sorted(target):
-        return False
     up = L.poset.up
+    source = list(_bits(up[lo] & L.poset.down[a]))
+    image = [L.join(t, x) for t in source]
+    image_mask = 0
+    for t in image:
+        image_mask |= 1 << t
+    if image_mask != up[x] & L.poset.down[hi]:
+        return False
     for s, t in zip(source, image):
         for s2, t2 in zip(source, image):
-            if (s2 in up[s]) != (t2 in up[t]):
+            if (up[s] >> s2 & 1) != (up[t] >> t2 & 1):
                 return False
     return True
 
@@ -387,7 +391,7 @@ def dowling_complement_check(L):
     for p in range(L.n):
         gp = [x for x in inner if L.join(x, p) != L.one]
         for q in range(L.n):
-            ideal = [x for x in gp if q in L.poset.up[x]]
+            ideal = [x for x in gp if L.poset.up[x] >> q & 1]
             value = L.poset.restrict(ideal).mobius_number()
             # ideal identity: the Mobius number of a down-closed subset
             # of L' is minus the sum of mu(0, z) over it and 0
@@ -503,8 +507,9 @@ def point_deletion(L, p):
     others = [q for q in atoms if q != p]
     h = L.join_set(others)
     coloop = h != L.one
+    up = L.poset.up
     fixed = [a for a in range(L.n)
-             if L.join_set([q for q in others if a in L.poset.up[q]]) == a]
+             if L.join_set([q for q in others if up[q] >> a & 1]) == a]
     deleted = Lattice(L.poset.restrict(fixed))
     mu0 = L.poset.mobius_row(L.zero)
     lhs = mu0[L.one]

@@ -111,7 +111,7 @@ def independents(M):
         for T, j in layer:
             start = atoms.index(T[-1]) + 1 if T else 0
             for p in atoms[start:]:
-                if p in M.lattice.poset.down[j]:
+                if M.lattice.poset.down[j] >> p & 1:
                     continue
                 T2 = T + (p,)
                 nxt.append((T2, M.lattice.join(j, p)))
@@ -129,7 +129,7 @@ def circuits(M):
     for I in independents(M):
         jI = M.lattice.join_set(I)
         for p in atoms:
-            if p in I or p not in M.lattice.poset.down[jI]:
+            if p in I or not M.lattice.poset.down[jI] >> p & 1:
                 continue
             base = I | {p}
             circuit = frozenset(
@@ -168,7 +168,7 @@ def nbc_counts(M, order=None):
         last = positions[-1] if positions else -1
         for i in range(last + 1, m):
             a = order[i]
-            if a in down[join]:
+            if down[join] >> a & 1:
                 continue
             chosen = positions + [i]
             suffix = [None] * len(chosen)
@@ -181,7 +181,7 @@ def nbc_counts(M, order=None):
                 if p in chosen:
                     continue
                 k = next(idx for idx, c in enumerate(chosen) if c > p)
-                if order[p] in down[suffix[k]]:
+                if down[suffix[k]] >> order[p] & 1:
                     ok = False
                     break
             if ok:

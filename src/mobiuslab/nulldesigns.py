@@ -2,7 +2,7 @@
 bound on their support."""
 
 from .inversion import _as_values, forward_up
-from .posets import PosetError
+from .posets import PosetError, _bits, _bound
 
 _EAGER_LIMIT = 400
 
@@ -15,7 +15,7 @@ class MeetSemilattice:
         self.poset = poset
         if poset.n == 0:
             raise PosetError("empty poset is not a meet semilattice")
-        minimals = [i for i in range(poset.n) if len(poset.down[i]) == 1]
+        minimals = [i for i in range(poset.n) if poset.down[i] == 1 << i]
         if len(minimals) != 1:
             raise PosetError(f"{len(minimals)} minimal elements; a meet "
                              "semilattice has a unique zero")
@@ -34,10 +34,8 @@ class MeetSemilattice:
         got = self._meet.get(key)
         if got is not None:
             return got
-        down = self.poset.down
-        lowers = down[i] & down[j]
-        best = max(lowers, key=lambda u: len(down[u]))
-        if not lowers <= down[best]:
+        best = _bound(self.poset.down, i, j, True)
+        if best is None:
             raise PosetError(
                 "no greatest lower bound for witness pair "
                 f"({self.poset.labels[i]!r}, {self.poset.labels[j]!r})")
@@ -86,10 +84,10 @@ def restrict_to_interval(S, f, b):
     f = _as_values(P, f)
     hat = forward_up(P, f)
     out = {}
-    for c in sorted(P.down[b]):
+    for c in _bits(P.down[b]):
         fibre = sum(f[x] for x in range(P.n) if S.meet(x, b) == c)
         inverted = sum(P.mobius_idx(c, y) * hat[y]
-                       for y in P.up[c] & P.down[b])
+                       for y in _bits(P.up[c] & P.down[b]))
         if fibre != inverted:
             raise AssertionError(
                 "interval restriction routes disagree at "
@@ -103,7 +101,7 @@ def support_lower_bound(S, b):
     P = _poset_of(S)
     b = P.idx(b) if not isinstance(b, int) else b
     col = P.mobius_col(b)
-    return sum(abs(col[c]) for c in P.down[b])
+    return sum(abs(col[c]) for c in _bits(P.down[b]))
 
 
 def verify_support_theorem(S, f):
@@ -135,7 +133,7 @@ def verify_support_theorem(S, f):
     bound = support_lower_bound(S, b)
     ledger = []
     col = P.mobius_col(b)
-    for c in sorted(P.down[b]):
+    for c in _bits(P.down[b]):
         fibre = sum(f[x] for x in range(P.n) if S.meet(x, b) == c)
         ledger.append({"c": P.labels[c], "mu_times_hat": col[c] * hat[b],
                        "fiber_sum": fibre,

@@ -6,8 +6,9 @@ extension is computed by a deterministic Kahn ordering with ties broken
 by input label order: identical input always yields identical matrices.
 """
 
-from collections import deque
 from fractions import Fraction
+from heapq import heappop, heappush
+from itertools import compress, count
 
 from .exactmat import identity, mat_pow
 
@@ -16,14 +17,48 @@ class PosetError(ValueError):
     pass
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits(mask):
+    """Indices of the set bits of a nonnegative int, in increasing order.
+
+    The mask is shifted down to its lowest set bit first, so the cost
+    follows the span of the set bits, not the index of the highest one.
+    """
+    low = (mask & -mask).bit_length() - 1 if mask else 0
+    return compress(count(low),
+                    bin(mask >> low)[:1:-1].encode().translate(_BIT_BYTES))
+
+
+def _bound(sets, i, j, greatest):
+    """Join or meet of elements i and j, or None if it does not exist.
+
+    With up-sets and greatest=False it is the join: the lowest bit of
+    up[i] & up[j], since a least upper bound precedes every other upper
+    bound in the linear extension.  With down-sets and greatest=True it
+    is the meet: the highest bit of down[i] & down[j].  The candidate is
+    the bound iff the whole intersection lies inside its own set.
+    """
+    common = sets[i] & sets[j]
+    top = common if greatest else common & -common
+    best = top.bit_length() - 1
+    return best if common & sets[best] == common else None
+
+
 class Poset:
     """Immutable finite partially ordered set.
+
+    The order is stored as Python-int bitmasks over element indices, which
+    are positions in the linear extension: bit j of up[i] is set iff
+    labels[i] <= labels[j].
 
     Attributes:
         labels: element identifiers, listed in linear-extension order
         n:      element count
-        up:     up[i] = frozenset of j with labels[i] <= labels[j] (incl. i)
-        down:   down[i] = frozenset of j with labels[j] <= labels[i]
+        up:     up[i] = int bitmask of the j with labels[i] <= labels[j]
+                (bit i included)
+        down:   down[i] = int bitmask of the j with labels[j] <= labels[i]
         covers: index pairs (i, j), the transitive reduction of the order
     """
 
@@ -76,51 +111,48 @@ class Poset:
                 raise PosetError(
                     f"cycle detected: {labels[i]} < {labels[i]}")
             succ[i].add(j)
-        for i in range(n):
-            for j in succ[i]:
-                indeg[j] += 1
-        # Kahn with ties broken by current index order
-        ready = deque(i for i in range(n) if indeg[i] == 0)
+            indeg[j] += 1
+        # Kahn, always taking the smallest ready index
+        ready = [i for i in range(n) if indeg[i] == 0]
         topo = []
-        indeg_work = indeg[:]
         while ready:
-            # deterministic: pick smallest ready index
-            i = min(ready)
-            ready.remove(i)
+            i = heappop(ready)
             topo.append(i)
-            for j in sorted(succ[i]):
-                indeg_work[j] -= 1
-                if indeg_work[j] == 0:
-                    ready.append(j)
-        if len(topo) < n:
-            start = next(i for i in range(n) if i not in set(topo))
-            cls._report_cycle(labels, succ, start)
-        pos = {old: new for new, old in enumerate(topo)}
-        new_labels = [labels[i] for i in topo]
-        new_succ = [set() for _ in range(n)]
-        for i in range(n):
             for j in succ[i]:
-                new_succ[pos[i]].add(pos[j])
-        # closure: walk in reverse linear-extension order
-        up = [None] * n
+                indeg[j] -= 1
+                if indeg[j] == 0:
+                    heappush(ready, j)
+        if len(topo) < n:
+            placed = set(topo)
+            start = next(i for i in range(n) if i not in placed)
+            cls._report_cycle(labels, succ, start)
+        pos = [0] * n
+        for new, old in enumerate(topo):
+            pos[old] = new
+        new_succ = [[pos[j] for j in succ[old]] for old in topo]
+        # closure: up-sets in reverse linear-extension order, down-sets
+        # forward; strict[i] is up[i] without bit i
+        up = [0] * n
+        strict = [0] * n
         for i in reversed(range(n)):
-            s = {i}
+            s = 0
             for j in new_succ[i]:
                 s |= up[j]
-            up[i] = s
-        down = [set() for _ in range(n)]
+            strict[i] = s
+            up[i] = s | 1 << i
+        down = [1 << j for j in range(n)]
         for i in range(n):
-            for j in up[i]:
-                down[j].add(i)
-        up = [frozenset(s) for s in up]
-        down = [frozenset(s) for s in down]
+            d = down[i]
+            for j in new_succ[i]:
+                down[j] |= d
+        # j covers i iff j is above i but above none of i's successors
         covers = []
         for i in range(n):
-            for j in up[i]:
-                if j != i and len(up[i] & down[j]) == 2:
-                    covers.append((i, j))
-        covers.sort()
-        return cls(new_labels, up, down, covers)
+            above = 0
+            for j in new_succ[i]:
+                above |= strict[j]
+            covers.extend((i, j) for j in _bits(strict[i] & ~above))
+        return cls([labels[i] for i in topo], up, down, covers)
 
     @staticmethod
     def _report_cycle(labels, succ, start):
@@ -139,10 +171,10 @@ class Poset:
     # -- basic queries ---------------------------------------------------
 
     def leq(self, i, j):
-        return j in self.up[i]
+        return bool(self.up[i] >> j & 1)
 
     def leq_labels(self, a, b):
-        return self.index[b] in self.up[self.index[a]]
+        return bool(self.up[self.index[a]] >> self.index[b] & 1)
 
     def idx(self, a):
         try:
@@ -150,17 +182,9 @@ class Poset:
         except KeyError:
             raise PosetError(f"unknown label {a!r}") from None
 
-    def comparable_pairs(self):
-        for i in range(self.n):
-            for j in self.up[i]:
-                yield i, j
-
     def longest_chain_length(self):
         """Length (number of covers) of a longest chain in the poset."""
-        height = [0] * self.n
-        for i, j in self.covers:
-            height[j] = max(height[j], height[i] + 1)
-        return max(height, default=0)
+        return max(self.heights(), default=0)
 
     def heights(self):
         """Per-element longest-chain-from-a-minimal-element lengths."""
@@ -172,41 +196,48 @@ class Poset:
     # -- incidence matrices ----------------------------------------------
 
     def zeta_matrix(self):
-        return [[1 if j in self.up[i] else 0 for j in range(self.n)]
-                for i in range(self.n)]
+        return [[m >> j & 1 for j in range(self.n)] for m in self.up]
 
     def strict_zeta_matrix(self):
-        return [[1 if (j in self.up[i] and j != i) else 0
-                 for j in range(self.n)] for i in range(self.n)]
+        Z = self.zeta_matrix()
+        for i in range(self.n):
+            Z[i][i] = 0
+        return Z
 
     def mobius_row(self, a):
-        """Row a of the Mobius matrix, by the back-substitution recursion
-        mu(a,b) = -sum_{a <= x < b} mu(a,x)."""
+        """Row a of the Mobius matrix, by the recursion
+        mu(a,b) = -sum_{a <= x < b} mu(a,x) in push form: mu(a,x) is final
+        once x is reached in linear-extension order, and is then
+        subtracted from every b > x; zeros are not pushed."""
         row = self._mu_rows.get(a)
         if row is not None:
             return row
+        up = self.up
         row = [0] * self.n
         row[a] = 1
-        for b in sorted(self.up[a]):
-            if b == a:
-                continue
-            interval = self.up[a] & self.down[b]
-            row[b] = -sum(row[x] for x in interval if x != b)
+        for x in _bits(up[a]):
+            v = row[x]
+            if v:
+                for b in _bits(up[x] ^ 1 << x):
+                    row[b] -= v
         self._mu_rows[a] = row
         return row
 
     def mobius_col(self, b):
-        """Column b of the Mobius matrix, via the dual recursion."""
+        """Column b of the Mobius matrix, via the dual recursion
+        mu(c,b) = -sum_{c < x <= b} mu(x,b), pushed downwards in reverse
+        linear-extension order."""
         col = self._mu_cols.get(b)
         if col is not None:
             return col
+        down = self.down
         col = [0] * self.n
         col[b] = 1
-        for c in sorted(self.down[b], reverse=True):
-            if c == b:
-                continue
-            interval = self.up[c] & self.down[b]
-            col[c] = -sum(col[x] for x in interval if x != c)
+        for x in reversed([*_bits(down[b])]):
+            v = col[x]
+            if v:
+                for c in _bits(down[x] ^ 1 << x):
+                    col[c] -= v
         self._mu_cols[b] = col
         return col
 
@@ -214,13 +245,13 @@ class Poset:
         return [self.mobius_row(a) for a in range(self.n)]
 
     def mobius_idx(self, i, j):
-        if j not in self.up[i]:
+        if not self.up[i] >> j & 1:
             return 0
         if i in self._mu_rows:
             return self._mu_rows[i][j]
         if j in self._mu_cols:
             return self._mu_cols[j][i]
-        if len(self.up[i]) <= len(self.down[j]):
+        if self.up[i].bit_count() <= self.down[j].bit_count():
             return self.mobius_row(i)[j]
         return self.mobius_col(j)[i]
 
@@ -232,7 +263,8 @@ class Poset:
     def chains_between(self, i, j):
         """Yield all chains (as index lists) with minimal element i and
         maximal element j.  Brute-force enumeration, no memoization."""
-        if j not in self.up[i]:
+        up, down_j = self.up, self.down[j]
+        if not up[i] >> j & 1:
             raise PosetError("endpoints are incomparable")
 
         def extend(chain):
@@ -240,11 +272,10 @@ class Poset:
             if x == j:
                 yield list(chain)
                 return
-            for y in sorted(self.up[x] & self.down[j]):
-                if y != x:
-                    chain.append(y)
-                    yield from extend(chain)
-                    chain.pop()
+            for y in _bits(up[x] & down_j ^ 1 << x):
+                chain.append(y)
+                yield from extend(chain)
+                chain.pop()
 
         yield from extend([i])
 
@@ -252,21 +283,21 @@ class Poset:
         """Hall's chain-sum route to mu(a, b); independent of the matrix
         recursion."""
         i, j = self.idx(a), self.idx(b)
-        if j not in self.up[i]:
+        if not self.up[i] >> j & 1:
             raise PosetError(f"{a!r} is not below {b!r}")
         return sum((-1) ** (len(c) - 1) for c in self.chains_between(i, j))
 
     def all_chains(self):
         """Yield every nonempty chain as a sorted index tuple."""
+        up = self.up
 
         def extend(chain):
             yield tuple(chain)
             x = chain[-1]
-            for y in sorted(self.up[x]):
-                if y != x:
-                    chain.append(y)
-                    yield from extend(chain)
-                    chain.pop()
+            for y in _bits(up[x] ^ 1 << x):
+                chain.append(y)
+                yield from extend(chain)
+                chain.pop()
 
         for i in range(self.n):
             yield from extend([i])
@@ -333,16 +364,19 @@ class Poset:
         """Induced subposet on the given element indices."""
         keep = sorted(set(indices))
         pos = {old: new for new, old in enumerate(keep)}
+        mask = 0
+        for i in keep:
+            mask |= 1 << i
         labels = [self.labels[i] for i in keep]
-        arcs = [(pos[i], pos[j]) for i in keep for j in self.up[i]
-                if j != i and j in pos]
+        arcs = [(pos[i], pos[j]) for i in keep
+                for j in _bits(self.up[i] & mask ^ 1 << i)]
         return Poset._from_arcs(labels, arcs)
 
     def interval(self, a, b):
         i, j = self.idx(a), self.idx(b)
-        if j not in self.up[i]:
+        if not self.up[i] >> j & 1:
             raise PosetError(f"{a!r} is not below {b!r}")
-        return self.restrict(self.up[i] & self.down[j])
+        return self.restrict(_bits(self.up[i] & self.down[j]))
 
     def adjoin_bounds(self):
         """Adjoin a fresh bottom and a fresh top, always (even when the
@@ -354,8 +388,8 @@ class Poset:
             top += "'"
         labels = [bot] + list(self.labels) + [top]
         arcs = [(i + 1, j + 1) for i, j in self.covers]
-        minimal = [i for i in range(self.n) if len(self.down[i]) == 1]
-        maximal = [i for i in range(self.n) if len(self.up[i]) == 1]
+        minimal = [i for i in range(self.n) if self.down[i] == 1 << i]
+        maximal = [i for i in range(self.n) if self.up[i] == 1 << i]
         if self.n == 0:
             arcs.append((0, 1))
         arcs += [(0, i + 1) for i in minimal]
@@ -371,12 +405,13 @@ class Poset:
         """Order-isomorphism test by backtracking search (small posets)."""
         if self.n != other.n:
             return False
-        if sorted(map(len, self.up)) != sorted(map(len, other.up)):
+        if (sorted(m.bit_count() for m in self.up)
+                != sorted(m.bit_count() for m in other.up)):
             return False
         inv = {}
 
         def key(P, i):
-            return (len(P.up[i]), len(P.down[i]))
+            return (P.up[i].bit_count(), P.down[i].bit_count())
 
         def match(assigned):
             if len(assigned) == self.n:
@@ -385,8 +420,9 @@ class Poset:
             for j in range(other.n):
                 if j in inv or key(self, i) != key(other, j):
                     continue
-                ok = all((j2 in other.up[j]) == (i2 in self.up[i]) and
-                         (j in other.up[j2]) == (i in self.up[i2])
+                ok = all((other.up[j] >> j2 & 1) == (self.up[i] >> i2 & 1)
+                         and (other.up[j2] >> j & 1)
+                         == (self.up[i2] >> i & 1)
                          for i2, j2 in assigned.items())
                 if ok:
                     assigned[i] = j

@@ -17,6 +17,11 @@ from mobiuslab.instances import (Graph, boolean_lattice, complete_graph,
                                  random_tree, subspace_lattice)
 
 
+def bits(mask):
+    """Indices of the set bits of an order mask, in increasing order."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
 def _report(num, name, ok, extra=""):
     line = f"criterion {num:2d} ({name}): {'pass' if ok else 'FAIL'}"
     if extra:
@@ -49,7 +54,7 @@ def test_criterion_02_boolean_mobius_values():
         P = boolean_lattice(n).poset
         for a in range(P.n):
             row = P.mobius_row(a)
-            for b in P.up[a]:
+            for b in bits(P.up[a]):
                 diff = len(P.labels[b]) - len(P.labels[a])
                 if row[b] != (-1) ** diff:
                     ok = False
@@ -63,7 +68,7 @@ def test_criterion_03_hall_chain_sum():
         P = random_poset(rng.randrange(1, 11), rng.random(),
                          rng.randrange(2 ** 30))
         for a in range(P.n):
-            for b in P.up[a]:
+            for b in bits(P.up[a]):
                 if P.mobius_by_chains(a, b) != P.mobius_idx(a, b):
                     ok = False
     _report(3, "Hall chain sum", ok)

@@ -331,3 +331,22 @@ def test_closed_stdout_exits_quietly(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE
     assert b"Traceback" not in err and b"Error" not in err
+
+
+def test_gen_chain_size_guard(tmp_path, monkeypatch):
+    r = run_child(tmp_path, sys.executable, "-m", "mobiuslab", "gen",
+                  "--family", "chain", "--n", "1000000000")
+    assert r.returncode == 2 and r.stdout == b""
+    assert r.stderr == (b"error: chain: estimated size 1000000001 exceeds "
+                        b"limit 20000 (set MOBIUSLAB_MAX_ELEMENTS to "
+                        b"override)\n")
+    monkeypatch.setenv("MOBIUSLAB_MAX_ELEMENTS", "30000")
+    r = run_child(tmp_path, sys.executable, "-m", "mobiuslab", "gen",
+                  "--family", "chain", "--n", "20000")
+    assert r.returncode == 0
+    assert len(json.loads(r.stdout)["elements"]) == 20001
+    monkeypatch.setenv("MOBIUSLAB_MAX_ELEMENTS", "3")
+    r = run_child(tmp_path, sys.executable, "-m", "mobiuslab", "gen",
+                  "--family", "chain", "--n", "3")
+    assert r.returncode == 2 and b"limit 3 " in r.stderr
+    assert b"Traceback" not in r.stderr

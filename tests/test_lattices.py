@@ -11,6 +11,11 @@ from mobiuslab.lattices import Lattice, LatticeError, NotRankedError
 from mobiuslab.posets import Poset
 
 
+def bits(mask):
+    """Indices of the set bits of an order mask, in increasing order."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
 def test_non_lattice_witness():
     P = Poset.from_covers(["0", "a", "b", "c", "d"],
                           [("0", "a"), ("0", "b"),
@@ -94,7 +99,7 @@ def test_sign_corollary_on_intervals():
     r = L.rank
     P = L.poset
     for a in range(L.n):
-        for b in P.up[a]:
+        for b in bits(P.up[a]):
             mu = P.mobius_idx(a, b)
             assert (-1) ** (r[b] - r[a]) * mu > 0
 
