@@ -3,7 +3,7 @@ suite (Weisner, cutsets, complements, modular factorization,
 point/hyperplane counting, Kung's theorem, point deletion)."""
 
 from .exactmat import bareiss_det, int_row_rank, mat_mul, transpose
-from .posets import PosetError, _bits, _bound
+from .posets import PosetError, _bits, _mask_bound
 
 
 class LatticeError(PosetError):
@@ -55,7 +55,8 @@ class Lattice:
         got = cache.get(key)
         if got is not None:
             return got
-        best = _bound(self.poset.down if meet else self.poset.up, i, j, meet)
+        best = _mask_bound(self.poset.down if meet else self.poset.up, i, j,
+                           meet)
         if best is None:
             kind = "lower" if meet else "upper"
             raise LatticeError(

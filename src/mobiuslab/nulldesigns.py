@@ -2,7 +2,7 @@
 bound on their support."""
 
 from .inversion import _as_values, forward_up
-from .posets import PosetError, _bits, _bound
+from .posets import PosetError, _bits, _mask_bound
 
 _EAGER_LIMIT = 400
 
@@ -34,7 +34,7 @@ class MeetSemilattice:
         got = self._meet.get(key)
         if got is not None:
             return got
-        best = _bound(self.poset.down, i, j, True)
+        best = _mask_bound(self.poset.down, i, j, True)
         if best is None:
             raise PosetError(
                 "no greatest lower bound for witness pair "

@@ -31,7 +31,7 @@ def _bits(mask):
                     bin(mask >> low)[:1:-1].encode().translate(_BIT_BYTES))
 
 
-def _bound(sets, i, j, greatest):
+def _mask_bound(sets, i, j, greatest):
     """Join or meet of elements i and j, or None if it does not exist.
 
     With up-sets and greatest=False it is the join: the lowest bit of
