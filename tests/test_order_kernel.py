@@ -8,8 +8,12 @@ arcs mixed in, and up to 450 elements.
 
 import random
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
 
 from mobiuslab.posets import Poset
 
