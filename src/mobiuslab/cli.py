@@ -322,16 +322,12 @@ def cmd_tree(args):
             raise InputError("need --tree or --n")
         g = instances.random_tree(args.n, args.seed)
         T = treedist.RootedTree.from_graph(g, 0)
-    det = treedist.graham_pollak_det(T) if T.n >= 2 else None
-    closed = ((T.n - 1) * (-1) ** (T.n - 1) * 2 ** (T.n - 2)
-              if T.n >= 2 else None)
-    factor = treedist.graham_lovasz_check(T)
-    body = {"schema": 1, "n": T.n, "det": det, "closed_form": closed,
-            "pass": factor["pass"] and det == closed}
+    r = treedist.verify_tree(T)
+    body = {"schema": 1, "n": T.n, "det": r["det"],
+            "closed_form": r["closed_form"], "pass": r["pass"]}
     if T.n >= 2:
-        treedist.distance_inverse(T)
-        body["inverse_verified"] = True
-    _emit(body, f"tree on {T.n} vertices, det {det}")
+        body["inverse_verified"] = r["inverse_verified"]
+    _emit(body, f"tree on {T.n} vertices, det {r['det']}")
     return 0 if body["pass"] else 1
 
 
@@ -415,10 +411,8 @@ def _suite(seed, full):
         for n in range(2, 9):
             g = instances.random_tree(n, rng.randrange(2 ** 30))
             T = treedist.RootedTree.from_graph(g, 0)
-            if not treedist.graham_lovasz_check(T)["pass"]:
+            if not treedist.verify_tree(T)["pass"]:
                 return False
-            treedist.graham_pollak_det(T)
-            treedist.distance_inverse(T)
         return True
     items.append(("tree distance identities", check_trees))
 

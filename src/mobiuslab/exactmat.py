@@ -1,19 +1,12 @@
 """Dense exact-arithmetic matrix helpers.
 
 Matrices are plain lists of row lists.  Entries are Python ints (arbitrary
-precision) or fractions.Fraction; no floating point is used anywhere in
-this package.
+precision); no floating point is used anywhere in this package.
 """
-
-from fractions import Fraction
 
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def zeros(rows, cols):
-    return [[0] * cols for _ in range(rows)]
 
 
 def mat_mul(A, B):
@@ -47,10 +40,6 @@ def mat_pow(A, m):
 
 def transpose(A):
     return [list(col) for col in zip(*A)] if A else []
-
-
-def mat_eq(A, B):
-    return A == B
 
 
 def bareiss_det(A):
@@ -109,36 +98,3 @@ def int_row_rank(A):
         rank += 1
         pivot_col += 1
     return rank
-
-
-def rat_inverse(A):
-    """Inverse of a square matrix over the rationals (entries int or
-    Fraction).  Raises ValueError if the matrix is singular."""
-    n = len(A)
-    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(A)]
-    for col in range(n):
-        pr = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if pr is None:
-            raise ValueError("matrix is singular")
-        M[col], M[pr] = M[pr], M[col]
-        piv = M[col][col]
-        M[col] = [x / piv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                val = M[r][col]
-                M[r] = [x - val * y for x, y in zip(M[r], M[col])]
-    return [row[n:] for row in M]
-
-
-def rat_mat_mul(A, B):
-    n, k = len(A), len(B)
-    m = len(B[0]) if B else 0
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            a = A[i][t]
-            if a:
-                for j in range(m):
-                    out[i][j] += a * B[t][j]
-    return out

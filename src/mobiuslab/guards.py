@@ -7,6 +7,11 @@ overrides the per-operation limits (unsafe; documented in the README).
 
 import os
 
+# Vertex limit of trees. The tree identities build the n x n distance
+# matrix and take its determinant by Bareiss elimination, O(n^3) steps
+# on integers of O(n) bits; `tree --n 300` takes about 4 s.
+TREE_VERTICES = 300
+
 
 class SizeGuardError(ValueError):
     def __init__(self, what, estimate, limit):

@@ -5,7 +5,7 @@ graphs."""
 import random
 from itertools import combinations
 
-from .guards import check_size
+from .guards import TREE_VERTICES, check_size
 from .lattices import Lattice
 from .posets import Poset
 
@@ -317,6 +317,7 @@ def random_tree(n, seed):
     at 0."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    check_size("tree", n, TREE_VERTICES)
     rng = random.Random(seed)
     return Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
 

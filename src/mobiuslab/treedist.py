@@ -3,8 +3,10 @@ factorization D = Z^T H Z, the shape-independent determinant, and the
 rational closed-form inverse."""
 
 from fractions import Fraction
+from operator import mul
 
 from .exactmat import bareiss_det, identity, mat_mul, transpose
+from .guards import TREE_VERTICES, check_size
 
 
 class RootedTree:
@@ -14,6 +16,7 @@ class RootedTree:
     def __init__(self, n, root, parent):
         if n < 1:
             raise ValueError("a tree needs at least one vertex")
+        check_size("tree", n, TREE_VERTICES)
         if not 0 <= root < n:
             raise ValueError(f"root {root} out of range")
         if len(parent) != n or parent[root] is not None:
@@ -75,18 +78,6 @@ class RootedTree:
     def depth(self, i):
         return len(self.ancestors(i)) - 1
 
-    def adjacency_matrix(self):
-        A = [[0] * self.n for _ in range(self.n)]
-        for v in range(1, self.n):
-            p = self.parent_pos[v]
-            A[v][p] = A[p][v] = 1
-        return A
-
-    def valency_matrix(self):
-        A = self.adjacency_matrix()
-        return [[sum(A[i]) if i == j else 0 for j in range(self.n)]
-                for i in range(self.n)]
-
 
 def distance_matrix(T):
     """D[u][v] = number of edges on the path between u and v."""
@@ -114,10 +105,9 @@ def tree_zeta(T):
     for v in range(n):
         for u in T.ancestors(v):
             Z[u][v] = 1
-    for i in range(n):
-        for j in range(i):
-            assert Z[i][j] == 0
-        assert Z[i][i] == 1
+    if any(Z[i][i] != 1 or any(Z[i][:i]) for i in range(n)):
+        raise ArithmeticError("tree zeta matrix is not unit upper "
+                              "triangular in breadth-first order")
     return Z
 
 
@@ -128,7 +118,9 @@ def tree_zeta_inverse(T):
     M = identity(n)
     for v in range(1, n):
         M[T.parent_pos[v]][v] = -1
-    assert mat_mul(M, tree_zeta(T)) == identity(n)
+    if mat_mul(M, tree_zeta(T)) != identity(n):
+        raise ArithmeticError("three-case inverse of the tree zeta matrix "
+                              "failed its check")
     return M
 
 
@@ -142,14 +134,16 @@ def _h_matrix(n):
     return H
 
 
+def _factorization(T, D):
+    Z = tree_zeta(T)
+    rhs = mat_mul(transpose(Z), mat_mul(_h_matrix(T.n), Z))
+    return {"identity": "distance factorization", "lhs": D, "rhs": rhs,
+            "pass": D == rhs, "witnesses": []}
+
+
 def graham_lovasz_check(T):
     """D = Z^T H Z with H = 1 e1^T + e1 1^T - 2I."""
-    Z = tree_zeta(T)
-    H = _h_matrix(T.n)
-    lhs = distance_matrix(T)
-    rhs = mat_mul(transpose(Z), mat_mul(H, Z))
-    return {"identity": "distance factorization", "lhs": lhs, "rhs": rhs,
-            "pass": lhs == rhs, "witnesses": []}
+    return _factorization(T, distance_matrix(T))
 
 
 def h_det_check(n):
@@ -161,47 +155,134 @@ def h_det_check(n):
 
 
 def graham_pollak_det(T):
-    """det D = (n-1)(-1)^(n-1) 2^(n-2), independent of tree shape."""
+    """det D by exact elimination. The Graham-Pollak theorem says it is
+    (n-1)(-1)^(n-1) 2^(n-2) for every tree shape; `verify_tree` compares
+    the two."""
     if T.n < 2:
         raise ValueError("determinant formula needs n >= 2")
-    det = bareiss_det(distance_matrix(T))
-    closed = (T.n - 1) * (-1) ** (T.n - 1) * 2 ** (T.n - 2)
-    assert det == closed
-    return det
+    return bareiss_det(distance_matrix(T))
+
+
+# The closed-form inverses are scaled by K = 2n - 2, which clears every
+# denominator, and checked as integer identities H S_H = K I and
+# D S_D = K I on every entry, through the structure of H and of the
+# tree's Laplacian instead of a dense product.
+
+def scaled_h_inverse(n):
+    """S_H = (2n-2) H^{-1} (first index is the root): 4 in the corner, 2
+    on the rest of the first row and column, 1 - (n-1)[i=j] elsewhere."""
+    if n < 2:
+        raise ValueError("H is invertible only for n >= 2")
+    S = [[1 - (n - 1) * (i == j) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        S[0][i] = S[i][0] = 2
+    S[0][0] = 4
+    return S
+
+
+def h_inverse_ok(S):
+    """True iff H S = (2n-2) I on every entry, in O(n^2): H = 1 e1^T +
+    e1 1^T - 2I, so row i of H S is S[0] + [i=0] colsum(S) - 2 S[i]."""
+    K = 2 * len(S) - 2
+    for i, Si in enumerate(S):
+        row = [t - 2 * s for t, s in zip(S[0], Si)]
+        if i == 0:
+            row = [x + sum(col) for x, col in zip(row, zip(*S))]
+        row[i] -= K
+        if any(row):
+            return False
+    return True
+
+
+def _neighbours(T):
+    nbrs = [[] for _ in range(T.n)]
+    for v in range(1, T.n):
+        p = T.parent_pos[v]
+        nbrs[v].append(p)
+        nbrs[p].append(v)
+    return nbrs
+
+
+def scaled_distance_inverse(T):
+    """S_D = (2n-2) D^{-1} = beta beta^T - (n-1)(Delta - A), with Delta
+    the valencies, A the adjacency and beta = (2I - Delta) 1."""
+    n = T.n
+    if n < 2:
+        raise ValueError("inverse formula needs n >= 2")
+    nbrs = _neighbours(T)
+    beta = [2 - len(a) for a in nbrs]
+    S = [[bi * bj for bj in beta] for bi in beta]
+    for i, a in enumerate(nbrs):
+        S[i][i] -= (n - 1) * len(a)
+        for k in a:
+            S[i][k] += n - 1
+    return S
+
+
+def distance_inverse_ok(T, D, S):
+    """True iff D S = (2n-2) I on every entry. With R = beta beta^T - S,
+    row i of D S is (D_i . beta) beta^T - D_i R, and D_i R is summed over
+    the nonzero entries of R only. For the closed form R is (n-1) times
+    the Laplacian Delta - A, with 3n - 2 nonzeros, so the check costs
+    O(n^2). Any other S is still checked exactly, at a cost that grows
+    with the number of its entries that differ from beta beta^T."""
+    K = 2 * T.n - 2
+    beta = [2 - len(a) for a in _neighbours(T)]
+    R = []
+    for k, (bk, Sk) in enumerate(zip(beta, S)):
+        for j, (bj, s) in enumerate(zip(beta, Sk)):
+            if bk * bj != s:
+                R.append((k, j, bk * bj - s))
+    for i, Di in enumerate(D):
+        c = sum(map(mul, Di, beta))
+        row = [c * b for b in beta]
+        for k, j, r in R:
+            row[j] -= Di[k] * r
+        row[i] -= K
+        if any(row):
+            return False
+    return True
+
+
+def _over(S, K):
+    return [[Fraction(x, K) for x in row] for row in S]
 
 
 def h_inverse(n):
-    """Closed-form inverse of H (first index is the root), verified by
-    multiplication."""
-    if n < 2:
-        raise ValueError("H is invertible only for n >= 2")
-    Hi = [[Fraction(0)] * n for _ in range(n)]
-    s = Fraction(1, n - 1)
-    Hi[0][0] = 2 * s
-    for i in range(1, n):
-        Hi[0][i] = Hi[i][0] = s
-        for j in range(1, n):
-            Hi[i][j] = s * Fraction(1, 2) * (1 - (n - 1) * (i == j))
-    H = [[Fraction(x) for x in row] for row in _h_matrix(n)]
-    prod = mat_mul(H, Hi)
-    assert prod == [[Fraction(i == j) for j in range(n)] for i in range(n)]
-    return Hi
+    """Closed-form inverse of H (first index is the root), verified in
+    integers; raises ArithmeticError if the check fails."""
+    S = scaled_h_inverse(n)
+    if not h_inverse_ok(S):
+        raise ArithmeticError("closed-form inverse of H failed its check")
+    return _over(S, 2 * n - 2)
 
 
 def distance_inverse(T):
     """D^{-1} = (1/(2n-2)) beta beta^T - (1/2)(Delta - A) with
-    beta = (2I - Delta) 1; verified exactly against D."""
-    n = T.n
-    if n < 2:
-        raise ValueError("inverse formula needs n >= 2")
-    h_inverse(n)
-    A = T.adjacency_matrix()
-    Delta = T.valency_matrix()
-    beta = [2 - Delta[i][i] for i in range(n)]
-    Di = [[Fraction(beta[i] * beta[j], 2 * n - 2)
-           - Fraction(Delta[i][j] - A[i][j], 2)
-           for j in range(n)] for i in range(n)]
-    D = [[Fraction(x) for x in row] for row in distance_matrix(T)]
-    prod = mat_mul(D, Di)
-    assert prod == [[Fraction(i == j) for j in range(n)] for i in range(n)]
-    return Di
+    beta = (2I - Delta) 1, verified exactly against D (and H^{-1}
+    against H); raises ArithmeticError if a check fails."""
+    S = scaled_distance_inverse(T)
+    if not (h_inverse_ok(scaled_h_inverse(T.n))
+            and distance_inverse_ok(T, distance_matrix(T), S)):
+        raise ArithmeticError("closed-form inverse of D failed its check")
+    return _over(S, 2 * T.n - 2)
+
+
+def verify_tree(T):
+    """Every identity of this module on T, from one distance matrix: the
+    factorization D = Z^T H Z, det D against the Graham-Pollak closed
+    form, and both closed-form inverses. det, closed_form and
+    inverse_verified are None on a single vertex."""
+    D = distance_matrix(T)
+    factor = _factorization(T, D)["pass"]
+    if T.n < 2:
+        return {"identity": "tree distance identities", "det": None,
+                "closed_form": None, "inverse_verified": None,
+                "pass": factor}
+    det = bareiss_det(D)
+    closed = (T.n - 1) * (-1) ** (T.n - 1) * 2 ** (T.n - 2)
+    inverse = (h_inverse_ok(scaled_h_inverse(T.n))
+               and distance_inverse_ok(T, D, scaled_distance_inverse(T)))
+    return {"identity": "tree distance identities", "det": det,
+            "closed_form": closed, "inverse_verified": inverse,
+            "pass": factor and det == closed and inverse}

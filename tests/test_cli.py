@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import mobiuslab
+from mobiuslab import treedist
 from mobiuslab.cli import EXIT_BROKEN_PIPE, main
 
 
@@ -350,3 +351,48 @@ def test_gen_chain_size_guard(tmp_path, monkeypatch):
                   "--family", "chain", "--n", "3")
     assert r.returncode == 2 and b"limit 3 " in r.stderr
     assert b"Traceback" not in r.stderr
+
+
+def test_tree_size_guard(tmp_path, monkeypatch):
+    message = (b"tree: estimated size 1000000 exceeds limit 300 (set "
+               b"MOBIUSLAB_MAX_ELEMENTS to override)\n")
+    r = run_child(tmp_path, sys.executable, "-m", "mobiuslab", "tree",
+                  "--n", "1000000")
+    assert r.returncode == 2 and r.stdout == b""
+    assert r.stderr == b"error: " + message
+    r = run_child(tmp_path, sys.executable, "-m", "mobiuslab", "gen",
+                  "--family", "random-tree", "--n", "1000000")
+    assert r.returncode == 2 and r.stderr == b"error: " + message
+    tpath = tmp_path / "star.json"
+    tpath.write_text(json.dumps({"n": 301, "root": 0,
+                                 "parent": [None] + [0] * 300}))
+    r = run_child(tmp_path, sys.executable, "-m", "mobiuslab", "tree",
+                  "--tree", str(tpath))
+    assert r.returncode == 2 and b"estimated size 301 exceeds limit 300" \
+        in r.stderr and b"Traceback" not in r.stderr
+    monkeypatch.setenv("MOBIUSLAB_MAX_ELEMENTS", "400")
+    r = run_child(tmp_path, sys.executable, "-m", "mobiuslab", "gen",
+                  "--family", "random-tree", "--n", "400")
+    assert r.returncode == 0 and len(r.stdout.splitlines()) == 399
+    assert treedist.RootedTree(301, 0, [None] + [0] * 300).n == 301
+    monkeypatch.setenv("MOBIUSLAB_MAX_ELEMENTS", "5")
+    r = run_child(tmp_path, sys.executable, "-m", "mobiuslab", "tree",
+                  "--n", "6")
+    assert r.returncode == 2 and b"limit 5 " in r.stderr
+    assert b"Traceback" not in r.stderr
+
+
+def test_verify_all_reports_tree_failure(capsys, monkeypatch):
+    right = treedist.scaled_distance_inverse
+
+    def moved(T):
+        S = right(T)
+        S[0][-1] -= 1
+        return S
+    monkeypatch.setattr(treedist, "scaled_distance_inverse", moved)
+    code, out, err = run(capsys, "verify-all", "--seed", "0")
+    assert code == 1
+    results = {r["name"]: r["pass"] for r in json.loads(out)["results"]}
+    assert results.pop("tree distance identities") is False
+    assert all(results.values())
+    assert "FAIL" in err

@@ -176,6 +176,18 @@ def test_dowling_complement():
         lattices.dowling_complement_check(divisor_lattice(12))
 
 
+def test_dowling_complement_reports_ideal_failure(monkeypatch):
+    # a wrong Mobius number for the one ideal that is all of L' (p = 0,
+    # q = 1) breaks the ideal identity and no other check, since that
+    # entry lies outside the inner block; the verdict reports it
+    L = boolean_lattice(3)
+    right = Poset.mobius_number
+    monkeypatch.setattr(Poset, "mobius_number",
+                        lambda self: right(self) + (self.n == L.n - 2))
+    r = lattices.dowling_complement_check(L)
+    assert r["pass"] is False
+
+
 def test_basterfield_kelly():
     for L in (boolean_lattice(3), boolean_lattice(5),
               subspace_lattice(2, 3), subspace_lattice(3, 2)):
