@@ -2,8 +2,10 @@
 suite (Weisner, cutsets, complements, modular factorization,
 point/hyperplane counting, Kung's theorem, point deletion)."""
 
+from collections import Counter
+
 from .exactmat import bareiss_det, int_row_rank, mat_mul, transpose
-from .posets import PosetError, _bits, _mask_bound
+from .posets import PosetError, _bits, _covers_have_joins, _mask_bound
 
 
 class LatticeError(PosetError):
@@ -14,19 +16,15 @@ class NotRankedError(LatticeError):
     pass
 
 
-# lattices up to this size get full join/meet tables on construction;
-# larger ones compute bounds on demand with memoization
-_EAGER_LIMIT = 400
-
-
 class Lattice:
     """A poset in which every pair has a join and a meet.
 
     Element indices are the underlying poset's (linear-extension order),
-    so index 0 is the zero and index n-1 is the one.
+    so index 0 is the zero and index n-1 is the one.  A bounded poset
+    whose pairs all have joins is a lattice.
     """
 
-    def __init__(self, poset, validate=True):
+    def __init__(self, poset):
         self.poset = poset
         n = poset.n
         if n == 0:
@@ -40,52 +38,34 @@ class Lattice:
         self.zero = minimals[0]
         self.one = maximals[0]
         self.n = n
-        self._join = {}
-        self._meet = {}
         self._rank = None
-        if validate and n <= _EAGER_LIMIT:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    self.join(i, j)
-                    self.meet(i, j)
-
-    def _bound(self, i, j, meet):
-        cache = self._meet if meet else self._join
-        key = (i, j) if i < j else (j, i)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        best = _mask_bound(self.poset.down if meet else self.poset.up, i, j,
-                           meet)
-        if best is None:
-            kind = "lower" if meet else "upper"
-            raise LatticeError(
-                f"no least {kind} bound for witness pair "
-                f"({self.poset.labels[i]!r}, {self.poset.labels[j]!r})")
-        cache[key] = best
-        return best
+        if not _covers_have_joins(poset):
+            # the first pair in index order with no join; no earlier pair
+            # lacks a meet, as two maximal lower bounds would lack a join
+            i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                        if _mask_bound(poset.up, i, j, False) is None)
+            raise LatticeError("no least upper bound for witness pair "
+                               f"({poset.labels[i]!r}, {poset.labels[j]!r})")
 
     def join(self, i, j):
-        if i == j:
-            return i
-        return self._bound(i, j, False)
+        # a join precedes every other upper bound in the linear extension
+        common = self.poset.up[i] & self.poset.up[j]
+        return (common & -common).bit_length() - 1
 
     def meet(self, i, j):
-        if i == j:
-            return i
-        return self._bound(i, j, True)
+        return (self.poset.down[i] & self.poset.down[j]).bit_length() - 1
 
     def join_set(self, indices):
-        out = self.zero
+        common = self.poset.up[self.zero]
         for i in indices:
-            out = self.join(out, i)
-        return out
+            common &= self.poset.up[i]
+        return (common & -common).bit_length() - 1
 
     def meet_set(self, indices):
-        out = self.one
+        common = self.poset.down[self.one]
         for i in indices:
-            out = self.meet(out, i)
-        return out
+            common &= self.poset.down[i]
+        return common.bit_length() - 1
 
     @property
     def rank(self):
@@ -136,14 +116,21 @@ def as_lattice(P):
 
 # -- predicates ----------------------------------------------------------
 
+def _rank_gaps(L):
+    """r(a) + r(b) - r(a^b) - r(avb) for every pair a < b, with join and
+    meet read from the order masks."""
+    r, up, down = L.rank, L.poset.up, L.poset.down
+    for a in range(L.n):
+        ua, da, ra = up[a], down[a], r[a]
+        for b in range(a + 1, L.n):
+            common = ua & up[b]
+            yield (ra + r[b] - r[(common & -common).bit_length() - 1]
+                   - r[(da & down[b]).bit_length() - 1])
+
+
 def is_semimodular(L):
     """Rank inequality r(a^b) + r(avb) <= r(a) + r(b) for all pairs."""
-    r = L.rank
-    for a in range(L.n):
-        for b in range(a + 1, L.n):
-            if r[L.meet(a, b)] + r[L.join(a, b)] > r[a] + r[b]:
-                return False
-    return True
+    return all(gap >= 0 for gap in _rank_gaps(L))
 
 
 def is_atomistic(L):
@@ -162,31 +149,19 @@ def is_geometric(L):
 
 
 def is_modular_element(L, a):
-    """Rank equality against every b, cross-checked against the
-    complements-form-an-antichain criterion."""
+    """Rank equality r(a) + r(b) = r(a^b) + r(avb) against every b."""
     r = L.rank
-    by_rank = all(r[L.meet(a, b)] + r[L.join(a, b)] == r[a] + r[b]
-                  for b in range(L.n))
-    comp = L.complements(a)
-    up = L.poset.up
-    by_antichain = not any(up[x] >> y & 1 for x in comp for y in comp
-                           if x != y)
-    if by_rank != by_antichain:
-        raise AssertionError(
-            f"modularity criteria disagree at {L.poset.labels[a]!r}: "
-            f"rank says {by_rank}, antichain says {by_antichain}")
-    return by_rank
+    return all(r[L.meet(a, b)] + r[L.join(a, b)] == r[a] + r[b]
+               for b in range(L.n))
 
 
 def is_modular_lattice(L):
-    """Dedekind equality a v (b ^ c) = (a v b) ^ c on all triples a <= c."""
-    up = L.poset.up
-    for a in range(L.n):
-        for c in _bits(up[a]):
-            for b in range(L.n):
-                if L.join(a, L.meet(b, c)) != L.meet(L.join(a, b), c):
-                    return False
-    return True
+    """A finite lattice is modular iff it is graded and
+    r(a) + r(b) = r(a^b) + r(avb) for every pair (Birkhoff)."""
+    try:
+        return all(gap == 0 for gap in _rank_gaps(L))
+    except NotRankedError:
+        return False
 
 
 def whitney_numbers(L):
@@ -194,7 +169,6 @@ def whitney_numbers(L):
     counts = [0] * (L.height + 1)
     for x in range(L.n):
         counts[L.rank[x]] += 1
-    assert counts[0] == 1 and counts[-1] == 1
     return counts
 
 
@@ -251,21 +225,27 @@ def is_cutset(L, cut):
 def cutset_mobius(L, cut):
     """mu(0,1) via the alternating count of subsets of the cutset that
     admit no bound strictly inside the lattice."""
-    from itertools import combinations
     cut = sorted(set(cut))
     witness = is_cutset(L, cut)
     if witness is not None:
         raise LatticeError("not a cutset; untouched maximal chain: "
                            + " < ".join(L.labels(witness)))
-    inner = {x for x in range(L.n) if x not in (L.zero, L.one)}
-    total = 0
-    for k in range(1, len(cut) + 1):
-        a_k = 0
-        for S in combinations(cut, k):
-            if L.join_set(S) not in inner and L.meet_set(S) not in inner:
-                a_k += 1
-        total += (-1) ** k * a_k
-    return total
+    up, down = L.poset.up, L.poset.down
+    ends = (L.zero, L.one)
+
+    def walk(start, ups, downs):
+        # sum of (-1)^|T| over the nonempty T in cut[start:] whose union
+        # with the current subset S has no join or meet inside; ups and
+        # downs are the ANDs of the up- and down-masks over S
+        total = 0
+        for t in range(start, len(cut)):
+            u, d = ups & up[cut[t]], downs & down[cut[t]]
+            outside = ((u & -u).bit_length() - 1 in ends
+                       and d.bit_length() - 1 in ends)
+            total -= outside + walk(t + 1, u, d)
+        return total
+
+    return walk(0, up[L.zero], down[L.one])
 
 
 def walker_complement_check(L, a):
@@ -311,9 +291,14 @@ def modular_factorization(L, a):
     lhs = mu0[L.one]
     rhs = mu0[a] * sum(mu0[x] for x in comp)
     iso_ok = all(_check_join_isomorphism(L, a, x) for x in comp)
+    # Stanley's criterion (a is modular iff no two of its complements are
+    # comparable) is a theorem only for geometric lattices
+    up = L.poset.up
+    antichain_ok = not is_geometric(L) or not any(
+        up[x] >> y & 1 for x in comp for y in comp if x != y)
     return {"identity": "modular factorization", "lhs": lhs, "rhs": rhs,
-            "pass": lhs == rhs and iso_ok,
-            "witnesses": L.labels(comp)}
+            "pass": lhs == rhs and iso_ok and antichain_ok,
+            "antichain_ok": antichain_ok, "witnesses": L.labels(comp)}
 
 
 def _perfect_matching(support, n):
@@ -444,23 +429,16 @@ def basterfield_kelly_check(L):
 
 
 def join_irreducibles(L):
-    reducible = set()
-    for x in range(L.n):
-        for y in range(x + 1, L.n):
-            j = L.join(x, y)
-            if j != x and j != y:
-                reducible.add(j)
-    return [x for x in range(L.n) if x not in reducible]
+    """Elements covering at most one element, 0 included: x is the join
+    of two elements other than x iff it covers two or more."""
+    below = Counter(j for _, j in L.poset.covers)
+    return [x for x in range(L.n) if below[x] <= 1]
 
 
 def meet_irreducibles(L):
-    reducible = set()
-    for x in range(L.n):
-        for y in range(x + 1, L.n):
-            m = L.meet(x, y)
-            if m != x and m != y:
-                reducible.add(m)
-    return [x for x in range(L.n) if x not in reducible]
+    """Elements covered by at most one element, 1 included."""
+    above = Counter(i for i, _ in L.poset.covers)
+    return [x for x in range(L.n) if above[x] <= 1]
 
 
 def kung_check(L, k):
@@ -475,8 +453,9 @@ def kung_check(L, k):
     A = [x for x in range(L.n) if r[x] <= k]
     B = [x for x in range(L.n) if r[x] >= d - k]
     mu_top = L.poset.mobius_col(L.one)
+    B_set = set(B)
     for x in range(L.n):
-        if x in set(B):
+        if x in B_set:
             continue
         if mu_top[x] == 0:
             raise LatticeError("hypothesis violation: mu(x,1) = 0 at "

@@ -2,14 +2,12 @@
 bound on their support."""
 
 from .inversion import _as_values, forward_up
-from .posets import PosetError, _bits, _mask_bound
-
-_EAGER_LIMIT = 400
+from .posets import PosetError, _bits, _covers_have_joins, _mask_bound
 
 
 class MeetSemilattice:
     """Poset with a zero element in which every pair has a greatest
-    lower bound."""
+    lower bound, that is, every pair with an upper bound has a join."""
 
     def __init__(self, poset):
         self.poset = poset
@@ -21,26 +19,15 @@ class MeetSemilattice:
                              "semilattice has a unique zero")
         self.zero = minimals[0]
         self.n = poset.n
-        self._meet = {}
-        if poset.n <= _EAGER_LIMIT:
-            for i in range(poset.n):
-                for j in range(i + 1, poset.n):
-                    self.meet(i, j)
+        if not _covers_have_joins(poset):
+            n, labels = poset.n, poset.labels
+            i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                        if _mask_bound(poset.down, i, j, True) is None)
+            raise PosetError("no greatest lower bound for witness pair "
+                             f"({labels[i]!r}, {labels[j]!r})")
 
     def meet(self, i, j):
-        if i == j:
-            return i
-        key = (i, j) if i < j else (j, i)
-        got = self._meet.get(key)
-        if got is not None:
-            return got
-        best = _mask_bound(self.poset.down, i, j, True)
-        if best is None:
-            raise PosetError(
-                "no greatest lower bound for witness pair "
-                f"({self.poset.labels[i]!r}, {self.poset.labels[j]!r})")
-        self._meet[key] = best
-        return best
+        return (self.poset.down[i] & self.poset.down[j]).bit_length() - 1
 
 
 def as_meet_semilattice(P):

@@ -46,6 +46,23 @@ def _mask_bound(sets, i, j, greatest):
     return best if common & sets[best] == common else None
 
 
+def _covers_have_joins(P):
+    """True iff every pair of P with a common upper bound has a join, for
+    P with a least element: a lattice if P has a top, else a meet
+    semilattice.  Checking pairs of upper covers of each element suffices
+    (proof in README).  Pairs with no common upper bound pass."""
+    up = P.up
+    above = [[] for _ in range(P.n)]
+    for i, j in P.covers:
+        above[i].append(j)
+    for covers in above:
+        for k, x in enumerate(covers):
+            for y in covers[k + 1:]:
+                if up[x] & up[y] and _mask_bound(up, x, y, False) is None:
+                    return False
+    return True
+
+
 class Poset:
     """Immutable finite partially ordered set.
 

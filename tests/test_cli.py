@@ -156,6 +156,25 @@ def test_lattice_check(capsys, b3, tmp_path):
     assert not obj["is_lattice"] and "witness" in obj
 
 
+def test_non_lattice_past_400_elements(capsys, tmp_path):
+    # a bowtie a, b < c, d above a 500-element chain, with a top added
+    chain = [f"c{i}" for i in range(500)]
+    covers = [list(pair) for pair in zip(chain, chain[1:])]
+    covers += [[chain[-1], "a"], [chain[-1], "b"], ["a", "c"], ["a", "d"],
+               ["b", "c"], ["b", "d"], ["c", "1"], ["d", "1"]]
+    path = tmp_path / "bowtie500.json"
+    path.write_text(json.dumps({"elements": chain + ["a", "b", "c", "d", "1"],
+                                "covers": covers}))
+    code, obj, _ = run_json(capsys, "lattice-check", "--poset", str(path))
+    assert code == 1
+    assert obj == {"schema": 1, "is_lattice": False, "pass": False,
+                   "witness": "no least upper bound for witness pair "
+                              "('a', 'b')"}
+    code, out, err = run(capsys, "whitney", "--poset", str(path))
+    assert code == 2 and out == ""
+    assert "not a lattice" in err and "Traceback" not in err
+
+
 def test_weisner(capsys, b3):
     code, obj, _ = run_json(capsys, "weisner", "--poset", b3)
     assert code == 0 and obj["pass"] and obj["checked"] == 7

@@ -1,0 +1,256 @@
+"""Property tests of the lattice layer against brute-force oracles that
+read only the order relation (the masks `up` and `down`) and search it.
+
+- `Lattice` and `MeetSemilattice` check pairs of upper covers only; their
+  verdict and witness must equal a scan of all pairs by least-upper-bound
+  search.
+- `is_modular_lattice` tests the rank equality; it must agree with
+  Dedekind's law a v (b ^ c) = (a v b) ^ c on all a <= c.
+- `cutset_mobius` walks the subsets of the cut once; it must agree with
+  the sum over `itertools.combinations`.
+
+Inputs are random posets with a least element, with and without a top:
+random DAGs and intersection-closed set families, some with a chain of
+more than 400 elements put below them.
+"""
+
+import random
+from itertools import combinations
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from mobiuslab import lattices  # noqa: E402
+from mobiuslab.instances import (boolean_lattice, divisor_lattice,  # noqa
+                                 partition_lattice, subspace_lattice)
+from mobiuslab.lattices import Lattice, LatticeError  # noqa: E402
+from mobiuslab.nulldesigns import MeetSemilattice  # noqa: E402
+from mobiuslab.posets import Poset, PosetError  # noqa: E402
+
+
+@st.composite
+def posets_with_zero(draw, top, pad=False):
+    """A poset with a least element, and a greatest one if `top`: either
+    a random order on up to 10 elements in up to 4 levels, with bounds
+    adjoined (two times in three), or an intersection-closed family of
+    subsets of a 5-set.
+    With `pad`, a chain of 400 to 410 elements may be put below the least
+    element."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.integers(0, 2)):
+        k = rng.randint(1, 10)
+        labels = [f"x{i}" for i in range(k)]
+        level = [rng.randint(1, 4) for _ in range(k)]
+        density = rng.random()
+        arcs = [(labels[a], labels[b]) for a in range(k) for b in range(k)
+                if level[a] < level[b] and rng.random() < density]
+        rng.shuffle(labels)
+        arcs += [("0", x) for x in labels]
+        if top:
+            arcs += [(x, "1") for x in labels]
+        labels = ["0"] + labels + ["1"] * top
+    else:
+        family = {rng.getrandbits(5) for _ in range(rng.randint(1, 10))}
+        if top:
+            family.add(31)
+        while True:
+            closed = family | {a & b for a in family for b in family}
+            if closed == family:
+                break
+            family = closed
+        labels = sorted(family, key=lambda s: rng.random())
+        arcs = [(a, b) for a in family for b in family
+                if a != b and a & b == a]
+    if pad and draw(st.booleans()):
+        heads = {b for _, b in arcs}
+        bottom = next(x for x in labels if x not in heads)
+        chain = [f"c{i}" for i in range(rng.randint(400, 410))]
+        arcs += list(zip(chain, chain[1:])) + [(chain[-1], bottom)]
+        labels = chain + labels
+    return Poset.from_covers(labels, arcs)
+
+
+def bits(mask):
+    """Indices of the set bits of a mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def least_upper_bound(P, i, j):
+    """The join of i and j by search, or None."""
+    upper = P.up[i] & P.up[j]
+    least = [k for k in bits(upper) if P.up[k] & upper == upper]
+    return least[0] if least else None
+
+
+def greatest_lower_bound(P, i, j):
+    """The meet of i and j by search, or None."""
+    lower = P.down[i] & P.down[j]
+    greatest = [k for k in bits(lower) if P.down[k] & lower == lower]
+    return greatest[0] if greatest else None
+
+
+def incomparable_pairs(P):
+    """The pairs i < j of incomparable elements, in index order; every
+    comparable pair has both bounds."""
+    everything = (1 << P.n) - 1
+    for i in range(P.n):
+        for j in bits(everything & ~(P.up[i] | P.down[i]) >> i << i):
+            yield i, j
+
+
+def first_unbounded_pair(P, kinds):
+    """(kind, i, j) for the first pair in index order whose bound of each
+    kind, tried in the given order, is missing; None if there is none."""
+    search = {"upper": least_upper_bound, "lower": greatest_lower_bound}
+    for i, j in incomparable_pairs(P):
+        for kind in kinds:
+            if search[kind](P, i, j) is None:
+                return kind, i, j
+    return None
+
+
+def pair(P, i, j):
+    return f"({P.labels[i]!r}, {P.labels[j]!r})"
+
+
+@settings(max_examples=200, deadline=None)
+@given(posets_with_zero(top=True, pad=True))
+def test_lattice_check_equals_all_pairs_scan(P):
+    found = first_unbounded_pair(P, ("upper", "lower"))
+    if found is None:
+        L = Lattice(P)
+        assert (L.zero, L.one) == (0, P.n - 1)
+    else:
+        kind, i, j = found
+        with pytest.raises(LatticeError) as err:
+            Lattice(P)
+        assert str(err.value) == (f"no least {kind} bound for witness pair "
+                                  + pair(P, i, j))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans().flatmap(lambda top: posets_with_zero(top, pad=True)))
+def test_meet_semilattice_check_equals_all_pairs_scan(P):
+    found = first_unbounded_pair(P, ("lower",))
+    if found is None:
+        S = MeetSemilattice(P)
+        for i, j in incomparable_pairs(P):
+            assert S.meet(i, j) == greatest_lower_bound(P, i, j)
+    else:
+        _, i, j = found
+        with pytest.raises(PosetError) as err:
+            MeetSemilattice(P)
+        assert str(err.value) == ("no greatest lower bound for witness pair "
+                                  + pair(P, i, j))
+
+
+def bound_tables(L):
+    """Join and meet tables of L by search."""
+    P = L.poset
+    join = [[least_upper_bound(P, i, j) for j in range(L.n)]
+            for i in range(L.n)]
+    meet = [[greatest_lower_bound(P, i, j) for j in range(L.n)]
+            for i in range(L.n)]
+    return join, meet
+
+
+def dedekind_modular(L):
+    join, meet = bound_tables(L)
+    return all(join[a][meet[b][c]] == meet[join[a][b]][c]
+               for a in range(L.n) for c in range(L.n) if L.poset.leq(a, c)
+               for b in range(L.n))
+
+
+def lattice_or_none(P):
+    try:
+        return Lattice(P)
+    except LatticeError:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(posets_with_zero(top=True))
+def test_modular_by_rank_equals_dedekind(P):
+    L = lattice_or_none(P)
+    assume(L is not None)
+    assert lattices.is_modular_lattice(L) == dedekind_modular(L)
+
+
+N5 = (["0", "a", "b", "c", "1"],
+      [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")])
+# not graded: maximal chains 0 < a < b < 1, 0 < c < d < 1 and 0 < e < 1
+UNRANKED = (["0", "a", "b", "c", "d", "e", "1"],
+            [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "d"),
+             ("d", "1"), ("0", "e"), ("e", "1")])
+
+
+@pytest.mark.parametrize("L", [
+    Lattice(Poset.from_covers(*N5)), Lattice(Poset.from_covers(*UNRANKED)),
+    boolean_lattice(3), subspace_lattice(2, 3), partition_lattice(4),
+    divisor_lattice(72)], ids=["N5", "unranked", "B_3", "L_3(2)", "Pi_4",
+                               "D_72"])
+def test_modular_by_rank_equals_dedekind_on_named(L):
+    assert lattices.is_modular_lattice(L) == dedekind_modular(L)
+
+
+def combinations_cutset_sum(L, cut):
+    """sum over nonempty S in the cut of (-1)^|S|, over the S whose join
+    and meet are both 0 or 1, by the bound tables."""
+    join, meet = bound_tables(L)
+    total = 0
+    for k in range(1, len(cut) + 1):
+        for S in combinations(cut, k):
+            j, m = S[0], S[0]
+            for x in S[1:]:
+                j, m = join[j][x], meet[m][x]
+            if j in (L.zero, L.one) and m in (L.zero, L.one):
+                total += (-1) ** k
+    return total
+
+
+def random_cutset(L, rng):
+    """Random inner elements, then one more from every maximal chain that
+    the set misses (the top if the chain has no inner element)."""
+    inner = [x for x in range(L.n) if x not in (L.zero, L.one)]
+    cut = set(rng.sample(inner, rng.randint(0, min(3, len(inner)))))
+    while True:
+        chain = lattices.is_cutset(L, cut)
+        if chain is None:
+            return sorted(cut)
+        choices = [x for x in chain if x not in (L.zero, L.one)]
+        cut.add(rng.choice(choices) if choices else L.one)
+
+
+FAMILIES = {"B_3": boolean_lattice(3), "B_4": boolean_lattice(4),
+            "Pi_4": partition_lattice(4), "L_3(2)": subspace_lattice(2, 3),
+            "D_60": divisor_lattice(60), "D_210": divisor_lattice(210)}
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_cutset_walk_equals_combinations_on_families(name):
+    L = FAMILIES[name]
+    rng = random.Random(L.n)
+    cuts = [L.atoms(), L.coatoms()]
+    cuts += [random_cutset(L, rng) for _ in range(5)]
+    for cut in cuts:
+        want = combinations_cutset_sum(L, cut)
+        assert lattices.cutset_mobius(L, cut) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(posets_with_zero(top=True), st.integers(0, 2 ** 32 - 1))
+def test_cutset_walk_equals_combinations(P, seed):
+    L = lattice_or_none(P)
+    assume(L is not None and L.n >= 2)
+    cut = random_cutset(L, random.Random(seed))
+    assume(len(cut) <= 12)
+    assert lattices.cutset_mobius(L, cut) == combinations_cutset_sum(L, cut)

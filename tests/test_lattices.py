@@ -233,3 +233,64 @@ def test_interval_lattice():
     L = boolean_lattice(3)
     sub = L.interval_lattice(L.poset.idx("1"), L.one)
     assert sub.n == 4
+
+
+def bowtie_on_chain(length):
+    """(labels, covers): a bowtie a, b < c, d above a chain of `length`
+    elements, with a top added.  It is bounded, but a and b have two
+    minimal upper bounds."""
+    chain = [f"c{i}" for i in range(length)]
+    covers = list(zip(chain, chain[1:]))
+    covers += [(chain[-1], "a"), (chain[-1], "b"), ("a", "c"), ("a", "d"),
+               ("b", "c"), ("b", "d"), ("c", "1"), ("d", "1")]
+    return chain + ["a", "b", "c", "d", "1"], covers
+
+
+def test_non_lattice_rejected_at_every_size():
+    for length in (1, 100, 500):
+        P = Poset.from_covers(*bowtie_on_chain(length))
+        with pytest.raises(LatticeError, match=r"^no least upper bound for "
+                           r"witness pair \('a', 'b'\)$"):
+            Lattice(P)
+
+
+def test_modular_factorization_on_semimodular_non_geometric():
+    # ranked and semimodular, not atomistic; 4 fails the rank equality
+    # against 5 but has no complement, so the antichain criterion (a
+    # theorem for geometric lattices only) holds vacuously
+    P = Poset.from_covers(range(8), [(0, 1), (0, 2), (1, 3), (1, 5), (2, 3),
+                                     (2, 4), (3, 6), (4, 6), (5, 6), (6, 7)])
+    L = Lattice(P)
+    a = P.idx(4)
+    assert lattices.is_semimodular(L) and not lattices.is_geometric(L)
+    assert not lattices.is_modular_element(L, a)
+    with pytest.raises(LatticeError, match="^4 is not modular$"):
+        lattices.modular_factorization(L, a)
+
+
+def test_modular_factorization_reports_antichain_criterion():
+    L = partition_lattice(4)
+    r = lattices.modular_factorization(L, L.poset.idx("0122"))
+    assert r["pass"] and r["antichain_ok"] is True
+
+
+def pairwise_irreducibles(L):
+    """Join- and meet-irreducibles by the definition: x is reducible iff
+    it is the join (meet) of two elements other than x."""
+    reducible_j = {j for x in range(L.n) for y in range(x + 1, L.n)
+                   for j in [L.join(x, y)] if j not in (x, y)}
+    reducible_m = {m for x in range(L.n) for y in range(x + 1, L.n)
+                   for m in [L.meet(x, y)] if m not in (x, y)}
+    return ([x for x in range(L.n) if x not in reducible_j],
+            [x for x in range(L.n) if x not in reducible_m])
+
+
+def test_irreducibles_from_covers_match_pairwise_oracle():
+    N5 = Lattice(Poset.from_covers(
+        ["0", "a", "b", "c", "1"],
+        [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")]))
+    for L in (boolean_lattice(4), subspace_lattice(2, 3),
+              partition_lattice(4), divisor_lattice(360), Lattice(chain(3)),
+              Lattice(chain(0)), N5):
+        assert (lattices.join_irreducibles(L),
+                lattices.meet_irreducibles(L)) == pairwise_irreducibles(L)

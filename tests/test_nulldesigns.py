@@ -27,6 +27,21 @@ def test_meet_semilattice_validation():
         MeetSemilattice(forest).meet(forest.idx("c"), forest.idx("d"))
 
 
+def test_meet_semilattice_validated_past_400_elements():
+    chain = [f"c{i}" for i in range(500)]
+    covers = list(zip(chain, chain[1:]))
+    covers += [(chain[-1], "a"), (chain[-1], "b")]
+    # two maximal elements with no common upper bound: a meet semilattice
+    S = MeetSemilattice(Poset.from_covers(chain + ["a", "b"], covers))
+    assert S.meet(S.poset.idx("a"), S.poset.idx("b")) == S.poset.idx("c499")
+    # c and d have two maximal common lower bounds
+    covers += [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]
+    P = Poset.from_covers(chain + ["a", "b", "c", "d"], covers)
+    with pytest.raises(PosetError, match=r"^no greatest lower bound for "
+                       r"witness pair \('c', 'd'\)$"):
+        MeetSemilattice(P)
+
+
 def test_strength_conventions():
     P = boolean_lattice(3).poset
     S = MeetSemilattice(P)
