@@ -14,7 +14,7 @@ from .instances import (Graph, boolean_lattice, chain, complete_graph,
 from .inversion import (derangements, derangements_bruteforce, forward_down,
                         forward_up, invert_down, invert_up,
                         lindstrom_wilf_det)
-from .lattices import (Lattice, LatticeError, NotRankedError, as_lattice,
+from .lattices import (Lattice, LatticeError, NotRankedError,
                        basterfield_kelly_check, cutset_mobius,
                        dowling_complement_check, dowling_wilson_check,
                        is_geometric, is_modular_element, is_modular_lattice,
@@ -23,14 +23,12 @@ from .lattices import (Lattice, LatticeError, NotRankedError, as_lattice,
                        weisner_check, whitney_numbers, whitney_rank_sums)
 from .matroid import (AtomMatroid, broken_circuits, characteristic_polynomial,
                       chromatic_oracle, chromatic_polynomial, circuits,
-                      codeword_weight_check, coloring_count, graphic_lattice,
-                      independents, nbc_counts, stirling_first_unsigned,
+                      codeword_weight_check, coloring_count, independents,
+                      nbc_counts, stirling_first_unsigned,
                       whitney_theorem_check)
-from .nulldesigns import (MeetSemilattice, as_meet_semilattice,
-                          restrict_to_interval, strength, support_lower_bound,
-                          verify_support_theorem)
-from .posets import (Poset, PosetError, mobius_number, poset_from_json,
-                     poset_to_json)
+from .nulldesigns import (MeetSemilattice, restrict_to_interval, strength,
+                          support_lower_bound, verify_support_theorem)
+from .posets import Poset, PosetError, poset_from_json, poset_to_json
 from .treedist import (RootedTree, distance_inverse, distance_matrix,
                        graham_lovasz_check, graham_pollak_det, tree_zeta,
                        tree_zeta_inverse)

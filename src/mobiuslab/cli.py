@@ -1,14 +1,20 @@
 """Command-line front end: generate instances, compute Mobius data, and
-run identity-verification suites with deterministic JSON output."""
+run identity-verification suites with deterministic JSON output.
+
+Every subcommand is one row of the table in `_commands`.  `main` parses
+the arguments, loads the input the row names, calls the row's handler and
+writes what it returns: a JSON object, or CSV rows."""
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
 
 from . import complexes, instances, inversion, lattices, matroid
 from . import nulldesigns, treedist
+from .exactmat import identity, mat_mul
 from .lattices import Lattice, LatticeError
 from .posets import (Poset, PosetError, _bits, poset_from_json,
                      poset_to_json)
@@ -105,95 +111,80 @@ def _emit_csv(rows, summary):
     print(summary, file=sys.stderr)
 
 
-def _as_lattice(P):
-    try:
-        return Lattice(P)
-    except LatticeError as e:
-        raise InputError(f"not a lattice: {e}")
-
-
 # -- subcommands ---------------------------------------------------------
+#
+# A handler gets the parsed arguments and its row's input, and returns
+# (body, summary): a dict for JSON or a list of CSV rows, and a line for
+# stderr.
+
+
+def _contraction(args):
+    if args.graph is None:
+        raise InputError("contraction needs --graph")
+    return instances.contraction_lattice(_load_graph(args.graph)).poset
+
+
+# gen families: a builder giving a Poset (written as JSON) or a Graph
+# (written as CSV edge rows)
+_FAMILIES = {
+    "boolean": lambda a: instances.boolean_lattice(a.n).poset,
+    "chain": lambda a: instances.chain(a.n),
+    "divisor": lambda a: instances.divisor_lattice(a.n).poset,
+    "subspace": lambda a: instances.subspace_lattice(a.q, a.n).poset,
+    "partition": lambda a: instances.partition_lattice(a.n).poset,
+    "contraction": _contraction,
+    "random-poset": lambda a: instances.random_poset(a.n, a.density, a.seed),
+    "random-tree": lambda a: instances.random_tree(a.n, a.seed),
+    "random-graph": lambda a: instances.random_graph(a.n, a.edges, a.seed),
+}
+
 
 def cmd_gen(args):
     fam = args.family
-    if fam == "boolean":
-        out = instances.boolean_lattice(args.n).poset
-    elif fam == "chain":
-        out = instances.chain(args.n)
-    elif fam == "divisor":
-        out = instances.divisor_lattice(args.n).poset
-    elif fam == "subspace":
-        out = instances.subspace_lattice(args.q, args.n).poset
-    elif fam == "partition":
-        out = instances.partition_lattice(args.n).poset
-    elif fam == "contraction":
-        if args.graph is None:
-            raise InputError("contraction needs --graph")
-        out = instances.contraction_lattice(_load_graph(args.graph)).poset
-    elif fam == "random-poset":
-        out = instances.random_poset(args.n, args.density, args.seed)
-    elif fam == "random-tree":
-        g = instances.random_tree(args.n, args.seed)
-        _emit_csv([(u, v) for u, v in g.edges],
-                  f"random tree on {g.n} vertices")
-        return 0
-    elif fam == "random-graph":
-        g = instances.random_graph(args.n, args.edges, args.seed)
-        _emit_csv([(u, v) for u, v in g.edges],
-                  f"random graph on {g.n} vertices, {len(g.edges)} edges")
-        return 0
-    else:
+    if fam not in _FAMILIES:
         raise InputError(f"unknown family {fam!r}")
-    body = poset_to_json(out)
-    _emit({"schema": 1, **body}, f"{fam}: {out.n} elements")
-    return 0
+    out = _FAMILIES[fam](args)
+    if isinstance(out, Poset):
+        return poset_to_json(out), f"{fam}: {out.n} elements"
+    summary = f"{fam.replace('-', ' ')} on {out.n} vertices"
+    if fam == "random-graph":
+        summary += f", {len(out.edges)} edges"
+    return out.edges, summary
 
 
-def cmd_mu(args):
-    P = _load_poset(args.poset)
+def cmd_mu(args, P):
     a = _resolve(P, getattr(args, "from"))
     b = _resolve(P, args.to)
     if not P.up[a] >> b & 1:
         raise InputError("elements are incomparable (or reversed)")
     value = P.mobius_idx(a, b)
-    _emit({"schema": 1, "mu": value}, f"mu = {value}")
-    return 0
+    return {"mu": value}, f"mu = {value}"
 
 
-def cmd_zeta(args):
-    P = _load_poset(args.poset)
-    Z = P.zeta_matrix()
+def _matrix(args, P, key, M, title):
+    summary = f"{title}, {P.n} x {P.n}"
     if args.csv:
-        _emit_csv(Z, f"zeta matrix, {P.n} x {P.n}")
-    else:
-        _emit({"schema": 1, "elements": [str(x) for x in P.labels],
-               "zeta": Z}, f"zeta matrix, {P.n} x {P.n}")
-    return 0
+        return M, summary
+    return {"elements": [str(x) for x in P.labels], key: M}, summary
 
 
-def cmd_invert(args):
-    P = _load_poset(args.poset)
+def cmd_zeta(args, P):
+    return _matrix(args, P, "zeta", P.zeta_matrix(), "zeta matrix")
+
+
+def cmd_invert(args, P):
     if args.function is None:
-        M = P.mobius_matrix()
-        if args.csv:
-            _emit_csv(M, f"Mobius matrix, {P.n} x {P.n}")
-        else:
-            _emit({"schema": 1, "elements": [str(x) for x in P.labels],
-                   "mobius": M}, f"Mobius matrix, {P.n} x {P.n}")
-        return 0
+        return _matrix(args, P, "mobius", P.mobius_matrix(), "Mobius matrix")
     g = _load_function(P, args.function)
     if args.direction == "up":
         f = inversion.invert_up(P, g)
     else:
         f = inversion.invert_down(P, g)
-    _emit({"schema": 1,
-           "values": {str(lab): f[i] for i, lab in enumerate(P.labels)}},
-          f"inverted {args.direction}-sums on {P.n} elements")
-    return 0
+    return ({"values": {str(lab): f[i] for i, lab in enumerate(P.labels)}},
+            f"inverted {args.direction}-sums on {P.n} elements")
 
 
-def cmd_chains(args):
-    P = _load_poset(args.poset)
+def cmd_chains(args, P):
     a = _resolve(P, getattr(args, "from"))
     b = _resolve(P, args.to)
     by_length = {}
@@ -201,33 +192,27 @@ def cmd_chains(args):
         by_length[len(c) - 1] = by_length.get(len(c) - 1, 0) + 1
     chain_mu = sum((-1) ** l * k for l, k in by_length.items())
     matrix_mu = P.mobius_idx(a, b)
-    ok = chain_mu == matrix_mu
-    _emit({"schema": 1, "count": sum(by_length.values()),
-           "by_length": {str(l): by_length[l] for l in sorted(by_length)},
-           "mu_by_chains": chain_mu, "mu_matrix": matrix_mu, "pass": ok},
-          f"chain sum {chain_mu}, matrix {matrix_mu}")
-    return 0 if ok else 1
+    return ({"count": sum(by_length.values()),
+             "by_length": {str(l): by_length[l] for l in sorted(by_length)},
+             "mu_by_chains": chain_mu, "mu_matrix": matrix_mu,
+             "pass": chain_mu == matrix_mu},
+            f"chain sum {chain_mu}, matrix {matrix_mu}")
 
 
-def cmd_euler(args):
-    P = _load_poset(args.poset)
+def cmd_euler(args, P):
     chi = complexes.order_complex(P).euler_characteristic()
     mu = P.mobius_number()
-    ok = chi == 1 + mu
-    _emit({"schema": 1, "euler_characteristic": chi, "mobius_number": mu,
-           "pass": ok}, f"chi = {chi}, mu = {mu}")
-    return 0 if ok else 1
+    return ({"euler_characteristic": chi, "mobius_number": mu,
+             "pass": chi == 1 + mu}, f"chi = {chi}, mu = {mu}")
 
 
-def cmd_lattice_check(args):
-    P = _load_poset(args.poset)
+def cmd_lattice_check(args, P):
     try:
         L = Lattice(P)
     except LatticeError as e:
-        _emit({"schema": 1, "is_lattice": False, "witness": str(e),
-               "pass": False}, f"not a lattice: {e}")
-        return 1
-    body = {"schema": 1, "is_lattice": True}
+        return ({"is_lattice": False, "witness": str(e), "pass": False},
+                f"not a lattice: {e}")
+    body = {"is_lattice": True}
     try:
         L.rank
         body["ranked"] = True
@@ -239,79 +224,78 @@ def cmd_lattice_check(args):
         body["witness"] = str(e)
     body["modular"] = lattices.is_modular_lattice(L)
     body["pass"] = True
-    _emit(body, f"lattice with {L.n} elements")
-    return 0
+    return body, f"lattice with {L.n} elements"
 
 
-def cmd_weisner(args):
-    P = _load_poset(args.poset)
-    L = _as_lattice(P)
+def cmd_weisner(args, L):
+    P = L.poset
     if args.element is not None:
         targets = [_resolve(P, args.element)]
     else:
         targets = [a for a in range(L.n) if a != L.zero]
     reports = [lattices.weisner_check(L, a) for a in targets]
     ok = all(r["pass"] for r in reports)
-    _emit({"schema": 1, "checked": len(reports), "pass": ok,
-           "reports": [{"a": str(P.labels[a]), "lhs": r["lhs"],
-                        "rhs": r["rhs"], "pass": r["pass"]}
-                       for a, r in zip(targets, reports)]},
-          f"Weisner on {len(reports)} elements: "
-          + ("all pass" if ok else "FAIL"))
-    return 0 if ok else 1
+    return ({"checked": len(reports), "pass": ok,
+             "reports": [{"a": str(P.labels[a]), "lhs": r["lhs"],
+                          "rhs": r["rhs"], "pass": r["pass"]}
+                         for a, r in zip(targets, reports)]},
+            f"Weisner on {len(reports)} elements: "
+            + ("all pass" if ok else "FAIL"))
 
 
-def cmd_cutset(args):
-    P = _load_poset(args.poset)
-    L = _as_lattice(P)
+def _check_crosscut(L, cut):
+    """Rota's crosscut theorem, which the alternating sum checks, holds
+    for antichains that avoid 0 and 1 and meet every maximal chain;
+    refuse a set that is not such an antichain (`cutset_mobius` refuses
+    one that misses a chain)."""
+    labels = [str(lab) for lab in L.poset.labels]
+    cut = sorted(set(cut))
+    for a in cut:
+        if a in (L.zero, L.one):
+            end = "bottom" if a == L.zero else "top"
+            raise InputError(f"not a crosscut: {labels[a]!r} is the {end} "
+                             "element")
+        for b in cut:
+            if a != b and L.poset.up[a] >> b & 1:
+                raise InputError(f"not a crosscut: {labels[a]!r} < "
+                                 f"{labels[b]!r}")
+
+
+def cmd_cutset(args, L):
+    P = L.poset
     if args.cutset is not None:
         cut = [_resolve(P, t) for t in args.cutset.split(",")]
+        _check_crosscut(L, cut)
     else:
         cut = L.atoms()
-    try:
-        value = lattices.cutset_mobius(L, cut)
-    except LatticeError as e:
-        raise InputError(str(e))
+    value = lattices.cutset_mobius(L, cut)
     matrix_mu = P.mobius_idx(L.zero, L.one)
-    ok = value == matrix_mu
-    _emit({"schema": 1, "cutset": [str(P.labels[c]) for c in cut],
-           "mu": value, "mu_matrix": matrix_mu, "pass": ok},
-          f"cutset sum {value}, matrix {matrix_mu}")
-    return 0 if ok else 1
+    return ({"cutset": [str(P.labels[c]) for c in cut], "mu": value,
+             "mu_matrix": matrix_mu, "pass": value == matrix_mu},
+            f"cutset sum {value}, matrix {matrix_mu}")
 
 
-def cmd_chromatic(args):
-    G = _load_graph(args.graph)
+def cmd_chromatic(args, G):
     poly = matroid.chromatic_polynomial(G)
     oracle = matroid.chromatic_oracle(G)
-    ok = poly == oracle
-    _emit({"schema": 1, "coefficients": poly, "oracle": oracle, "pass": ok},
-          f"chromatic polynomial, degree {len(poly) - 1}")
-    return 0 if ok else 1
+    return ({"coefficients": poly, "oracle": oracle, "pass": poly == oracle},
+            f"chromatic polynomial, degree {len(poly) - 1}")
 
 
-def cmd_charpoly(args):
-    P = _load_poset(args.poset)
-    L = _as_lattice(P)
+def cmd_charpoly(args, L):
     poly = matroid.characteristic_polynomial(L)
-    _emit({"schema": 1, "coefficients": poly},
-          f"characteristic polynomial, degree {len(poly) - 1}")
-    return 0
+    return ({"coefficients": poly},
+            f"characteristic polynomial, degree {len(poly) - 1}")
 
 
-def cmd_whitney(args):
-    P = _load_poset(args.poset)
-    L = _as_lattice(P)
+def cmd_whitney(args, L):
     W = lattices.whitney_numbers(L)
     w = lattices.whitney_rank_sums(L)
+    summary = f"Whitney numbers, rank {L.height}"
     if args.csv:
-        rows = [("rank", "count", "rank_sum")]
-        rows += [(k, W[k], w[k]) for k in range(len(W))]
-        _emit_csv(rows, f"Whitney numbers, rank {L.height}")
-    else:
-        _emit({"schema": 1, "counts": W, "rank_sums": w},
-              f"Whitney numbers, rank {L.height}")
-    return 0
+        return ([("rank", "count", "rank_sum")]
+                + [(k, W[k], w[k]) for k in range(len(W))], summary)
+    return {"counts": W, "rank_sums": w}, summary
 
 
 def cmd_tree(args):
@@ -323,34 +307,27 @@ def cmd_tree(args):
         g = instances.random_tree(args.n, args.seed)
         T = treedist.RootedTree.from_graph(g, 0)
     r = treedist.verify_tree(T)
-    body = {"schema": 1, "n": T.n, "det": r["det"],
-            "closed_form": r["closed_form"], "pass": r["pass"]}
+    body = {"n": T.n, "det": r["det"], "closed_form": r["closed_form"],
+            "pass": r["pass"]}
     if T.n >= 2:
         body["inverse_verified"] = r["inverse_verified"]
-    _emit(body, f"tree on {T.n} vertices, det {r['det']}")
-    return 0 if body["pass"] else 1
+    return body, f"tree on {T.n} vertices, det {r['det']}"
 
 
-def cmd_nulldesign(args):
-    P = _load_poset(args.poset)
+def cmd_nulldesign(args, P):
     f = _load_function(P, args.function)
-    try:
-        S = nulldesigns.MeetSemilattice(P)
-        report = nulldesigns.verify_support_theorem(S, f)
-    except PosetError as e:
-        raise InputError(str(e))
-    body = {"schema": 1, "strength": report.get("strength"),
-            "support": report["lhs"], "bound": report["rhs"],
-            "pass": report["pass"]}
+    S = nulldesigns.MeetSemilattice(P)
+    report = nulldesigns.verify_support_theorem(S, f)
+    body = {"strength": report.get("strength"), "support": report["lhs"],
+            "bound": report["rhs"], "pass": report["pass"]}
     if "b" in report:
         body["b"] = str(report["b"])
-    _emit(body, f"support {report['lhs']}, bound {report['rhs']}")
-    return 0 if report["pass"] else 1
+    return body, f"support {report['lhs']}, bound {report['rhs']}"
 
 
 # -- verify-all ----------------------------------------------------------
 
-def _suite(seed, full):
+def _suite(seed):
     rng = random.Random(seed)
     B = instances.boolean_lattice
     items = []
@@ -359,7 +336,6 @@ def _suite(seed, full):
         for _ in range(20):
             P = instances.random_poset(rng.randrange(1, 10), rng.random(),
                                        rng.randrange(2 ** 30))
-            from .exactmat import identity, mat_mul
             if mat_mul(P.mobius_matrix(), P.zeta_matrix()) != identity(P.n):
                 return False
             f = [rng.randrange(-5, 6) for _ in range(P.n)]
@@ -398,11 +374,7 @@ def _suite(seed, full):
             P = instances.random_poset(rng.randrange(1, 7), rng.random(),
                                        rng.randrange(2 ** 30))
             f = [rng.randrange(-3, 4) for _ in range(P.n)]
-            _, det = inversion.lindstrom_wilf_det(P, f)
-            prod = 1
-            for v in f:
-                prod *= v
-            if det != prod:
+            if inversion.lindstrom_wilf_det(P, f)[1] != math.prod(f):
                 return False
         return True
     items.append(("Lindstrom-Wilf determinant", check_lindstrom_wilf))
@@ -439,22 +411,16 @@ def _suite(seed, full):
     items.append(("fibre decomposition", check_baclawski))
 
     def check_weisner():
-        for L in (B(4), instances.subspace_lattice(2, 2),
-                  instances.partition_lattice(4)):
-            for a in range(L.n):
-                if a == L.zero:
-                    continue
-                if not lattices.weisner_check(L, a)["pass"]:
-                    return False
-        return True
+        return all(lattices.weisner_check(L, a)["pass"]
+                   for L in (B(4), instances.subspace_lattice(2, 2),
+                             instances.partition_lattice(4))
+                   for a in range(L.n) if a != L.zero)
     items.append(("Weisner's lemma", check_weisner))
 
     def check_cutset():
-        for L in (B(3), instances.subspace_lattice(2, 3)):
-            if (lattices.cutset_mobius(L, L.atoms())
-                    != L.poset.mobius_idx(L.zero, L.one)):
-                return False
-        return True
+        return all(lattices.cutset_mobius(L, L.atoms())
+                   == L.poset.mobius_idx(L.zero, L.one)
+                   for L in (B(3), instances.subspace_lattice(2, 3)))
     items.append(("cutset alternating sum", check_cutset))
 
     def check_walker():
@@ -528,12 +494,10 @@ def _suite(seed, full):
     items.append(("rank-set incidence rank", check_kung))
 
     def check_deletion():
-        for L in (B(3), instances.contraction_lattice(
-                instances.complete_graph(3))):
-            for p in L.atoms():
-                if not lattices.point_deletion(L, p)[1]["pass"]:
-                    return False
-        return True
+        return all(lattices.point_deletion(L, p)[1]["pass"]
+                   for L in (B(3), instances.contraction_lattice(
+                       instances.complete_graph(3)))
+                   for p in L.atoms())
     items.append(("point deletion recursion", check_deletion))
 
     def check_nulldesign():
@@ -551,21 +515,65 @@ def _suite(seed, full):
 
 
 def cmd_verify_all(args):
-    items = _suite(args.seed, args.suite == "full")
-    results = []
-    ok = True
-    for name, fn in items:
-        passed = bool(fn())
-        ok = ok and passed
-        results.append({"name": name, "pass": passed})
-        print(f"{name:<40s} {'pass' if passed else 'FAIL'}",
-              file=sys.stderr)
-    print(json.dumps({"schema": 1, "suite": args.suite,
-                      "results": results, "pass": ok}))
-    return 0 if ok else 1
+    results = [{"name": name, "pass": bool(check())}
+               for name, check in _suite(args.seed)]
+    lines = [f"{r['name']:<40s} {'pass' if r['pass'] else 'FAIL'}"
+             for r in results]
+    return ({"suite": "small", "results": results,
+             "pass": all(r["pass"] for r in results)}, "\n".join(lines))
 
 
-# -- argument parsing ----------------------------------------------------
+# -- the command table ---------------------------------------------------
+
+_REQUIRED = {"required": True}
+_CSV = {"action": "store_true"}
+_SEED = {"type": int, "default": 0}
+
+
+def _commands():
+    """(name, help, input, handler, options) for every subcommand.  The
+    input "poset" or "lattice" adds a required --poset and "graph" a
+    required --graph; options maps each further flag to its argparse
+    keywords.  Built per call, so the handlers are looked up at run time."""
+    return [
+        ("gen", "generate an instance", None, cmd_gen,
+         {"--family": _REQUIRED, "--n": {"type": int, "default": 3},
+          "--q": {"type": int, "default": 2},
+          "--density": {"type": float, "default": 0.5}, "--seed": _SEED,
+          "--edges": {"type": int, "default": 0}, "--graph": {}}),
+        ("mu", "Mobius function of a pair", "poset", cmd_mu,
+         {"--from": _REQUIRED, "--to": _REQUIRED}),
+        ("zeta", "zeta matrix", "poset", cmd_zeta, {"--csv": _CSV}),
+        ("invert", "Mobius matrix, or invert a function's order sums",
+         "poset", cmd_invert,
+         {"--function": {},
+          "--direction": {"choices": ("up", "down"), "default": "up"},
+          "--csv": _CSV}),
+        ("chains", "chains between two elements", "poset", cmd_chains,
+         {"--from": _REQUIRED, "--to": _REQUIRED}),
+        ("euler", "order-complex Euler characteristic", "poset", cmd_euler,
+         {}),
+        ("lattice-check", "lattice recognition and classification",
+         "poset", cmd_lattice_check, {}),
+        ("weisner", "Weisner's lemma", "lattice", cmd_weisner,
+         {"--element": {}}),
+        ("cutset", "cutset alternating sum", "lattice", cmd_cutset,
+         {"--cutset": {"help": "comma-separated labels (default: the "
+                               "atoms)"}}),
+        ("chromatic", "chromatic polynomial of a graph", "graph",
+         cmd_chromatic, {}),
+        ("charpoly", "characteristic polynomial", "lattice", cmd_charpoly,
+         {}),
+        ("whitney", "Whitney numbers", "lattice", cmd_whitney,
+         {"--csv": _CSV}),
+        ("tree", "tree distance identities", None, cmd_tree,
+         {"--tree": {}, "--n": {"type": int}, "--seed": _SEED}),
+        ("nulldesign", "support bound for a function", "poset",
+         cmd_nulldesign, {"--function": _REQUIRED}),
+        ("verify-all", "run the identity suites", None, cmd_verify_all,
+         {"--seed": _SEED}),
+    ]
+
 
 def _build_parser():
     ap = argparse.ArgumentParser(
@@ -573,109 +581,48 @@ def _build_parser():
         description="Mobius functions of finite posets: computations and "
                     "identity checks")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("gen", help="generate an instance")
-    g.add_argument("--family", required=True)
-    g.add_argument("--n", type=int, default=3)
-    g.add_argument("--q", type=int, default=2)
-    g.add_argument("--density", type=float, default=0.5)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--edges", type=int, default=0)
-    g.add_argument("--graph")
-    g.set_defaults(fn=cmd_gen)
-
-    m = sub.add_parser("mu", help="Mobius function of a pair")
-    m.add_argument("--poset", required=True)
-    m.add_argument("--from", required=True)
-    m.add_argument("--to", required=True)
-    m.set_defaults(fn=cmd_mu)
-
-    z = sub.add_parser("zeta", help="zeta matrix")
-    z.add_argument("--poset", required=True)
-    z.add_argument("--csv", action="store_true")
-    z.set_defaults(fn=cmd_zeta)
-
-    i = sub.add_parser("invert", help="Mobius matrix, or invert a "
-                                      "function's order sums")
-    i.add_argument("--poset", required=True)
-    i.add_argument("--function")
-    i.add_argument("--direction", choices=("up", "down"), default="up")
-    i.add_argument("--csv", action="store_true")
-    i.set_defaults(fn=cmd_invert)
-
-    c = sub.add_parser("chains", help="chains between two elements")
-    c.add_argument("--poset", required=True)
-    c.add_argument("--from", required=True)
-    c.add_argument("--to", required=True)
-    c.set_defaults(fn=cmd_chains)
-
-    e = sub.add_parser("euler", help="order-complex Euler characteristic")
-    e.add_argument("--poset", required=True)
-    e.set_defaults(fn=cmd_euler)
-
-    lc = sub.add_parser("lattice-check", help="lattice recognition and "
-                                              "classification")
-    lc.add_argument("--poset", required=True)
-    lc.set_defaults(fn=cmd_lattice_check)
-
-    w = sub.add_parser("weisner", help="Weisner's lemma")
-    w.add_argument("--poset", required=True)
-    w.add_argument("--element")
-    w.set_defaults(fn=cmd_weisner)
-
-    cs = sub.add_parser("cutset", help="cutset alternating sum")
-    cs.add_argument("--poset", required=True)
-    cs.add_argument("--cutset", help="comma-separated labels "
-                                     "(default: the atoms)")
-    cs.set_defaults(fn=cmd_cutset)
-
-    ch = sub.add_parser("chromatic", help="chromatic polynomial of a graph")
-    ch.add_argument("--graph", required=True)
-    ch.set_defaults(fn=cmd_chromatic)
-
-    cp = sub.add_parser("charpoly", help="characteristic polynomial")
-    cp.add_argument("--poset", required=True)
-    cp.set_defaults(fn=cmd_charpoly)
-
-    wh = sub.add_parser("whitney", help="Whitney numbers")
-    wh.add_argument("--poset", required=True)
-    wh.add_argument("--csv", action="store_true")
-    wh.set_defaults(fn=cmd_whitney)
-
-    t = sub.add_parser("tree", help="tree distance identities")
-    t.add_argument("--tree")
-    t.add_argument("--n", type=int)
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--det", action="store_true")
-    t.set_defaults(fn=cmd_tree)
-
-    nd = sub.add_parser("nulldesign", help="support bound for a function")
-    nd.add_argument("--poset", required=True)
-    nd.add_argument("--function", required=True)
-    nd.set_defaults(fn=cmd_nulldesign)
-
-    va = sub.add_parser("verify-all", help="run the identity suites")
-    va.add_argument("--suite", choices=("small", "full"), default="small")
-    va.add_argument("--seed", type=int, default=0)
-    va.set_defaults(fn=cmd_verify_all)
-
+    for name, text, kind, handler, options in _commands():
+        p = sub.add_parser(name, help=text)
+        if kind is not None:
+            p.add_argument("--graph" if kind == "graph" else "--poset",
+                           required=True)
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(handler=handler, input=kind)
     return ap
 
 
-def main(argv=None):
-    ap = _build_parser()
+def _load_input(args):
+    """The handler's input as an argument tuple: empty, or a Graph, a
+    Poset or a Lattice."""
+    if args.input is None:
+        return ()
+    if args.input == "graph":
+        return (_load_graph(args.graph),)
+    P = _load_poset(args.poset)
+    if args.input == "poset":
+        return (P,)
     try:
-        args = ap.parse_args(argv)
+        return (Lattice(P),)
+    except LatticeError as e:
+        raise InputError(f"not a lattice: {e}")
+
+
+def main(argv=None):
+    try:
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
-    except InputError as e:
+        body, summary = args.handler(args, *_load_input(args))
+    except (InputError, PosetError, LatticeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (PosetError, LatticeError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    if isinstance(body, list):
+        _emit_csv(body, summary)
+        return 0
+    _emit({"schema": 1, **body}, summary)
+    return 1 if body.get("pass") is False else 0
 
 
 # What a shell reports for a process ended by SIGPIPE (128 + 13).

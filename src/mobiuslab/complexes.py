@@ -65,14 +65,6 @@ def order_complex(P):
     return SimplicialComplex(faces)
 
 
-def euler_characteristic(S):
-    return S.euler_characteristic()
-
-
-def level_numbers(S):
-    return S.level_numbers()
-
-
 def is_cone(P):
     """Return the label of an element comparable with all others, or None."""
     for i in range(P.n):

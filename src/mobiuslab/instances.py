@@ -129,7 +129,8 @@ def gaussian_binomial(n, k, q):
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise ArithmeticError(f"[{n} choose {k}]_{q} is not an integer")
     return num // den
 
 
@@ -175,7 +176,9 @@ def subspace_lattice(q, n):
             if T not in subspaces:
                 subspaces.add(T)
                 frontier.append(T)
-    assert len(subspaces) == total
+    if len(subspaces) != total:
+        raise ArithmeticError(f"found {len(subspaces)} subspaces of "
+                              f"GF({q})^{n}, expected {total}")
 
     def rref_label(S):
         """Canonical reduced-row-echelon basis of the subspace, read off
@@ -198,7 +201,8 @@ def subspace_lattice(q, n):
 
     subspaces = sorted(subspaces, key=lambda S: (len(S), sorted(S)))
     labels = [rref_label(S) for S in subspaces]
-    assert len(set(labels)) == total
+    if len(set(labels)) != total:
+        raise ArithmeticError("two subspaces share a row-echelon label")
     arcs = []
     for i, S in enumerate(subspaces):
         for j, T in enumerate(subspaces):

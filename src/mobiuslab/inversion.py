@@ -52,7 +52,9 @@ def derangements(n):
                     for l in range(n + 1))
     series = sum((-1) ** k * factorial(n) // factorial(k)
                  for k in range(n + 1))
-    assert inversion == series
+    if inversion != series:
+        raise ArithmeticError(f"derangements({n}): inversion {inversion}, "
+                              f"series {series}")
     return inversion
 
 
@@ -71,8 +73,3 @@ def lindstrom_wilf_det(P, f):
          for x in range(P.n)]
     return G, bareiss_det(G)
 
-
-def lattice_g_inversion(L, g):
-    """On a lattice, recover f with f(y) = sum_z mu(y, z) g(z) so that
-    sum_{z >= x v y} f(z) reproduces the Lindstrom-Wilf matrix of g."""
-    return invert_up(L.poset, g)

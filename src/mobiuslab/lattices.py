@@ -110,10 +110,6 @@ class Lattice:
         return f"Lattice(n={self.n})"
 
 
-def as_lattice(P):
-    return Lattice(P)
-
-
 # -- predicates ----------------------------------------------------------
 
 def _rank_gaps(L):

@@ -88,11 +88,14 @@ def rank_axioms_check(M):
     for k in range(len(atoms) + 1):
         subsets.extend(frozenset(c) for c in combinations(atoms, k))
     r = {S: M.subset_rank(S) for S in subsets}
-    assert r[frozenset()] == 0
-    assert all(r[frozenset([p])] == 1 for p in atoms)
+    if r[frozenset()] != 0:
+        return False
+    if any(r[frozenset([p])] != 1 for p in atoms):
+        return False
     for S in subsets:
         for p in atoms:
-            assert r[S] <= r[S | {p}] <= r[S] + 1
+            if not r[S] <= r[S | {p}] <= r[S] + 1:
+                return False
     for S in subsets:
         for T in subsets:
             if r[S] + r[T] < r[S | T] + r[S & T]:
@@ -137,8 +140,9 @@ def circuits(M):
                 if jI == M.lattice.join_set(base - {x}))
             found.add(circuit)
     for C in found:
-        assert not M.is_independent(C)
-        assert all(M.is_independent(C - {x}) for x in C)
+        if M.is_independent(C) or not all(M.is_independent(C - {x})
+                                          for x in C):
+            raise ArithmeticError(f"{sorted(C)} is not a circuit")
     return sorted(found, key=lambda C: (len(C), sorted(C)))
 
 
@@ -158,7 +162,8 @@ def nbc_counts(M, order=None):
     lies under the join of the part of T after p."""
     L = M.lattice
     order = list(M.atoms) if order is None else list(order)
-    assert sorted(order) == sorted(M.atoms)
+    if sorted(order) != sorted(M.atoms):
+        raise ValueError("order is not a permutation of the atoms")
     m = len(order)
     counts = [0] * (M.rank + 1)
     down = L.poset.down
@@ -380,9 +385,3 @@ def codeword_weight_check(generator, q, t=None):
         report["tuple_rhs"] = tuple_expected
         report["pass"] = report["pass"] and tuple_count == tuple_expected
     return report
-
-
-def graphic_lattice(G):
-    """Alias for the contraction lattice, the geometric lattice of the
-    graphic matroid."""
-    return contraction_lattice(G)

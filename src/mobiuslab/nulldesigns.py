@@ -30,25 +30,12 @@ class MeetSemilattice:
         return (self.poset.down[i] & self.poset.down[j]).bit_length() - 1
 
 
-def as_meet_semilattice(P):
-    return MeetSemilattice(P)
-
-
-def _poset_of(S):
-    return S.poset if isinstance(S, MeetSemilattice) else S
-
-
-def up_sums(S, f):
-    """The transform f^(y) = sum over x >= y of f(x)."""
-    return forward_up(_poset_of(S), f)
-
-
 def strength(S, f):
     """Largest t such that the up-sums vanish at every element of height
     at most t; -1 if some height-0 sum is nonzero.  The zero function
     gets the full poset height."""
-    P = _poset_of(S)
-    hat = up_sums(P, f)
+    P = S.poset
+    hat = forward_up(P, f)
     heights = P.heights()
     top = max(heights)
     t = -1
@@ -64,9 +51,7 @@ def restrict_to_interval(S, f, b):
     meet-fiber sum and by Mobius inversion over [c, b]; the routes must
     agree.  Returns a label -> value map supported on the down-set
     of b."""
-    P = _poset_of(S)
-    if not isinstance(S, MeetSemilattice):
-        S = MeetSemilattice(P)
+    P = S.poset
     b = P.idx(b) if not isinstance(b, int) else b
     f = _as_values(P, f)
     hat = forward_up(P, f)
@@ -76,7 +61,7 @@ def restrict_to_interval(S, f, b):
         inverted = sum(P.mobius_idx(c, y) * hat[y]
                        for y in _bits(P.up[c] & P.down[b]))
         if fibre != inverted:
-            raise AssertionError(
+            raise ArithmeticError(
                 "interval restriction routes disagree at "
                 f"{P.labels[c]!r}: fiber {fibre}, inversion {inverted}")
         out[P.labels[c]] = fibre
@@ -85,7 +70,7 @@ def restrict_to_interval(S, f, b):
 
 def support_lower_bound(S, b):
     """sum over c <= b of |mu(c, b)|."""
-    P = _poset_of(S)
+    P = S.poset
     b = P.idx(b) if not isinstance(b, int) else b
     col = P.mobius_col(b)
     return sum(abs(col[c]) for c in _bits(P.down[b]))
@@ -96,13 +81,11 @@ def verify_support_theorem(S, f):
     nonzero up-sum at height t + 1: the support of f has size at least
     sum |mu(c,b)|, with equality forcing f to be (0, +-1)-valued.  The
     per-c ledger checks mu(c,b) f^(b) = sum over x ^ b = c of f(x)."""
-    P = _poset_of(S)
-    if not isinstance(S, MeetSemilattice):
-        S = MeetSemilattice(P)
+    P = S.poset
     f = _as_values(P, f)
     hat = forward_up(P, f)
     heights = P.heights()
-    t = strength(P, f)
+    t = strength(S, f)
     support = [x for x in range(P.n) if f[x] != 0]
     if not support:
         return {"identity": "support bound", "lhs": 0, "rhs": 0,

@@ -455,10 +455,6 @@ class Poset:
         return f"Poset(n={self.n})"
 
 
-def mobius_number(P):
-    return P.mobius_number()
-
-
 # -- JSON interchange ----------------------------------------------------
 
 def poset_to_json(P):

@@ -194,6 +194,28 @@ def test_cutset(capsys, b3):
     assert code == 2
 
 
+def test_cutset_refuses_non_crosscut(capsys, tmp_path):
+    # a cutset with comparable elements, and the top of B_2, once reported
+    # false identity failures (exit 1)
+    d60 = tmp_path / "d60.json"
+    code, out, _ = run(capsys, "gen", "--family", "divisor", "--n", "60")
+    d60.write_text(out)
+    code, out, err = run(capsys, "cutset", "--poset", str(d60),
+                         "--cutset", "2,3,12,20,30")
+    assert (code, out) == (2, "")
+    assert err == "error: not a crosscut: '2' < '12'\n"
+    b2 = tmp_path / "b2.json"
+    code, out, _ = run(capsys, "gen", "--family", "boolean", "--n", "2")
+    b2.write_text(out)
+    code, out, err = run(capsys, "cutset", "--poset", str(b2),
+                         "--cutset", "12")
+    assert (code, out) == (2, "")
+    assert err == "error: not a crosscut: '12' is the top element\n"
+    code, _, err = run(capsys, "cutset", "--poset", str(b2),
+                       "--cutset", ",1")
+    assert code == 2 and "'' is the bottom element" in err
+
+
 def test_chromatic(capsys, tmp_path):
     gpath = tmp_path / "k3.txt"
     gpath.write_text("0 1\n1 2\n0 2  # triangle\n")

@@ -11,12 +11,16 @@ Record them again only when an output change is intended:
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from mobiuslab import cli
 from mobiuslab.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
@@ -157,6 +161,27 @@ _QUERIES = [
     ("verify-all seed 3", ["verify-all", "--seed", "3"]),
     ("verify-all seed 4", ["verify-all", "--seed", "4"]),
     ("no command", []),
+    # help and usage errors: argparse output, pinned at 80 columns
+    ("help", ["--help"]),
+    ("unknown command", ["nope"]),
+    ("cutset help", ["cutset", "--help"]),
+    ("usage gen", ["gen", "--n", "x"]),
+    ("usage mu", ["mu", "--poset", "x"]),
+    ("usage zeta", ["zeta"]),
+    ("usage invert", ["invert", "--poset", "x", "--direction", "sideways"]),
+    ("usage chains", ["chains", "--poset", "x", "--from", "a"]),
+    ("usage euler", ["euler"]),
+    ("usage lattice-check", ["lattice-check"]),
+    ("usage weisner", ["weisner", "--element", "1"]),
+    ("usage cutset", ["cutset", "--cutset"]),
+    ("usage chromatic", ["chromatic"]),
+    ("usage charpoly", ["charpoly", "--poset"]),
+    ("usage whitney", ["whitney", "--csv"]),
+    ("usage tree", ["tree", "--n", "x"]),
+    ("usage nulldesign", ["nulldesign", "--poset", "x"]),
+    ("usage verify-all", ["verify-all", "--seed", "x"]),
+    ("tree det", ["tree", "--n", "4", "--det"]),
+    ("verify-all suite full", ["verify-all", "--suite", "full"]),
 ]
 
 
@@ -167,7 +192,9 @@ def _sha(text):
 def _run(argv, files):
     argv = [str(files[a[1:]]) if a.startswith("@") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    # argparse wraps help and usage to the terminal width
+    with (redirect_stdout(out), redirect_stderr(err),
+          mock.patch.dict(os.environ, {"COLUMNS": "80"})):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
@@ -212,6 +239,21 @@ def test_cli_bytes_match_golden(recorded, case):
 def test_golden_covers_every_case():
     assert set(json.loads(GOLDEN.read_text())) == {
         c[0] for c in _GEN + _QUERIES}
+
+
+def test_golden_covers_every_command():
+    used = {c[1][0] for c in _GEN + _QUERIES if c[1]}
+    assert {row[0] for row in cli._commands()} <= used
+
+
+def test_golden_under_optimize():
+    # python -O strips assert statements; no output may depend on them
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-O", __file__], capture_output=True,
+                       env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == json.loads(GOLDEN.read_text())
 
 
 if __name__ == "__main__":

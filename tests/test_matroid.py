@@ -50,6 +50,29 @@ def test_rank_axioms():
         assert matroid.rank_axioms_check(AtomMatroid(L))
 
 
+class _RankStub:
+    """A rank function on two atoms that breaks one axiom."""
+
+    def __init__(self, ranks):
+        self.atoms = [0, 1]
+        self.ranks = ranks
+
+    def subset_rank(self, T):
+        return self.ranks[len(T)]
+
+
+@pytest.mark.parametrize("ranks", [(1, 1, 2), (0, 2, 2), (0, 1, 3)])
+def test_rank_axioms_reject_bad_rank(ranks):
+    # r(empty) = 0, r(atom) = 1 and unit increase
+    assert matroid.rank_axioms_check(_RankStub(ranks)) is False
+
+
+def test_nbc_counts_rejects_bad_order():
+    M = AtomMatroid(boolean_lattice(3))
+    with pytest.raises(ValueError, match="permutation of the atoms"):
+        nbc_counts(M, [M.atoms[0]] * 3)
+
+
 def test_independents_guard():
     with pytest.raises(SizeGuardError):
         independents(AtomMatroid(partition_lattice(7)))
