@@ -29,17 +29,24 @@ def forward_down(P, f):
 
 
 def invert_up(P, g):
-    """Recover f from its up-set sums: f(z) = sum_y mu(z, y) g(y)."""
-    g = _as_values(P, g)
-    return [sum(P.mobius_idx(z, y) * g[y] for y in _bits(P.up[z]))
-            for z in range(P.n)]
+    """Recover f from its up-set sums g = zeta f by back-substitution:
+    f(x) = g(x) - sum_{y > x} f(y), in reverse linear-extension order, so
+    every f(y) is final before it is read."""
+    f = _as_values(P, g)
+    up = P.up
+    for x in reversed(range(P.n)):
+        f[x] -= sum(f[y] for y in _bits(up[x] ^ 1 << x))
+    return f
 
 
 def invert_down(P, g):
-    """Recover f from its down-set sums: f(z) = sum_y mu(y, z) g(y)."""
-    g = _as_values(P, g)
-    return [sum(P.mobius_idx(y, z) * g[y] for y in _bits(P.down[z]))
-            for z in range(P.n)]
+    """Recover f from its down-set sums: f(x) = g(x) - sum_{y < x} f(y),
+    in linear-extension order."""
+    f = _as_values(P, g)
+    down = P.down
+    for x in range(P.n):
+        f[x] -= sum(f[y] for y in _bits(down[x] ^ 1 << x))
+    return f
 
 
 def derangements(n):

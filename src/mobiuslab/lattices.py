@@ -73,9 +73,7 @@ class Lattice:
         the Jordan-Dedekind condition."""
         if self._rank is None:
             P = self.poset
-            r = [0] * self.n
-            for i, j in P.covers:
-                r[j] = max(r[j], r[i] + 1)
+            r = P.heights()
             for i, j in P.covers:
                 if r[j] != r[i] + 1:
                     raise NotRankedError(
@@ -179,17 +177,21 @@ def whitney_rank_sums(L):
 
 # -- identity checks -----------------------------------------------------
 
-def weisner_check(L, a):
-    """mu(0,1) = -sum over x < 1 with x v a = 1 of mu(0,x)."""
-    if a == L.zero:
+def weisner_check(L, elements):
+    """mu(0,1) = -sum over x < 1 with x v a = 1 of mu(0,x), for each a
+    in elements (none of them 0); one report per a, in order."""
+    if L.zero in elements:
         raise LatticeError("Weisner's lemma needs a != 0")
     mu0 = L.poset.mobius_row(L.zero)
     lhs = mu0[L.one]
-    witnesses = [x for x in range(L.n)
-                 if x != L.one and L.join(x, a) == L.one]
-    rhs = -sum(mu0[x] for x in witnesses)
-    return {"identity": "Weisner", "lhs": lhs, "rhs": rhs,
-            "pass": lhs == rhs, "witnesses": L.labels(witnesses)}
+    reports = []
+    for a in elements:
+        witnesses = [x for x in range(L.n)
+                     if x != L.one and L.join(x, a) == L.one]
+        rhs = -sum(mu0[x] for x in witnesses)
+        reports.append({"identity": "Weisner", "lhs": lhs, "rhs": rhs,
+                        "pass": lhs == rhs, "witnesses": L.labels(witnesses)})
+    return reports
 
 
 def is_cutset(L, cut):

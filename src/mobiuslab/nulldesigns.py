@@ -49,17 +49,16 @@ def strength(S, f):
 def restrict_to_interval(S, f, b):
     """f_b(c) = sum over x with x ^ b = c of f(x), computed both by that
     meet-fiber sum and by Mobius inversion over [c, b]; the routes must
-    agree.  Returns a label -> value map supported on the down-set
-    of b."""
+    agree.  b is an element index.  Returns a label -> value map
+    supported on the down-set of b."""
     P = S.poset
-    b = P.idx(b) if not isinstance(b, int) else b
     f = _as_values(P, f)
     hat = forward_up(P, f)
     out = {}
     for c in _bits(P.down[b]):
         fibre = sum(f[x] for x in range(P.n) if S.meet(x, b) == c)
-        inverted = sum(P.mobius_idx(c, y) * hat[y]
-                       for y in _bits(P.up[c] & P.down[b]))
+        row = P.mobius_row(c)
+        inverted = sum(row[y] * hat[y] for y in _bits(P.up[c] & P.down[b]))
         if fibre != inverted:
             raise ArithmeticError(
                 "interval restriction routes disagree at "
@@ -69,9 +68,8 @@ def restrict_to_interval(S, f, b):
 
 
 def support_lower_bound(S, b):
-    """sum over c <= b of |mu(c, b)|."""
+    """sum over c <= b of |mu(c, b)|, for the element index b."""
     P = S.poset
-    b = P.idx(b) if not isinstance(b, int) else b
     col = P.mobius_col(b)
     return sum(abs(col[c]) for c in _bits(P.down[b]))
 
@@ -100,9 +98,9 @@ def verify_support_theorem(S, f):
         raise PosetError(f"no element of height {t + 1} has a nonzero "
                          "up-sum")
     b = candidates[0]
-    bound = support_lower_bound(S, b)
-    ledger = []
     col = P.mobius_col(b)
+    bound = sum(abs(col[c]) for c in _bits(P.down[b]))
+    ledger = []
     for c in _bits(P.down[b]):
         fibre = sum(f[x] for x in range(P.n) if S.meet(x, b) == c)
         ledger.append({"c": P.labels[c], "mu_times_hat": col[c] * hat[b],

@@ -88,8 +88,6 @@ class Poset:
         self.up = up
         self.down = down
         self.covers = covers
-        self._mu_rows = {}
-        self._mu_cols = {}
 
     # -- construction ---------------------------------------------------
 
@@ -225,10 +223,8 @@ class Poset:
         """Row a of the Mobius matrix, by the recursion
         mu(a,b) = -sum_{a <= x < b} mu(a,x) in push form: mu(a,x) is final
         once x is reached in linear-extension order, and is then
-        subtracted from every b > x; zeros are not pushed."""
-        row = self._mu_rows.get(a)
-        if row is not None:
-            return row
+        subtracted from every b > x; zeros are not pushed.  Every call
+        builds a new list, 0 at the b not above a."""
         up = self.up
         row = [0] * self.n
         row[a] = 1
@@ -237,16 +233,12 @@ class Poset:
             if v:
                 for b in _bits(up[x] ^ 1 << x):
                     row[b] -= v
-        self._mu_rows[a] = row
         return row
 
     def mobius_col(self, b):
         """Column b of the Mobius matrix, via the dual recursion
         mu(c,b) = -sum_{c < x <= b} mu(x,b), pushed downwards in reverse
-        linear-extension order."""
-        col = self._mu_cols.get(b)
-        if col is not None:
-            return col
+        linear-extension order.  Every call builds a new list."""
         down = self.down
         col = [0] * self.n
         col[b] = 1
@@ -255,22 +247,15 @@ class Poset:
             if v:
                 for c in _bits(down[x] ^ 1 << x):
                     col[c] -= v
-        self._mu_cols[b] = col
         return col
 
     def mobius_matrix(self):
         return [self.mobius_row(a) for a in range(self.n)]
 
     def mobius_idx(self, i, j):
-        if not self.up[i] >> j & 1:
-            return 0
-        if i in self._mu_rows:
-            return self._mu_rows[i][j]
-        if j in self._mu_cols:
-            return self._mu_cols[j][i]
-        if self.up[i].bit_count() <= self.down[j].bit_count():
-            return self.mobius_row(i)[j]
-        return self.mobius_col(j)[i]
+        """mu(i, j) by index; a caller that reads many entries of one row
+        or column computes that row or column once instead."""
+        return self.mobius_row(i)[j]
 
     def mobius(self, a, b):
         return self.mobius_idx(self.idx(a), self.idx(b))

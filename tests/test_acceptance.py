@@ -147,7 +147,7 @@ def test_criterion_09_weisner():
         for a in range(L.n):
             if a == L.zero:
                 continue
-            ok = ok and lattices.weisner_check(L, a)["pass"]
+            ok = ok and lattices.weisner_check(L, [a])[0]["pass"]
     _report(9, "Weisner's lemma", ok)
 
 

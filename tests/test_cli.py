@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mobiuslab
-from mobiuslab import treedist
+from mobiuslab import matroid, treedist
 from mobiuslab.cli import EXIT_BROKEN_PIPE, main
 
 
@@ -437,3 +437,21 @@ def test_verify_all_reports_tree_failure(capsys, monkeypatch):
     assert results.pop("tree distance identities") is False
     assert all(results.values())
     assert "FAIL" in err
+
+
+def test_verify_all_reports_whitney_failure(capsys, monkeypatch):
+    right = matroid.whitney_rank_sums
+
+    def shifted(L):
+        w = right(L)
+        if L.n == 52:
+            # only Pi_5, the broken-circuit check's lattice, is shifted:
+            # the chromatic check's graphs give smaller lattices
+            w[-1] += 1
+        return w
+    monkeypatch.setattr(matroid, "whitney_rank_sums", shifted)
+    code, out, err = run(capsys, "verify-all", "--seed", "0")
+    assert code == 1
+    results = {r["name"]: r["pass"] for r in json.loads(out)["results"]}
+    assert results.pop("broken-circuit counts") is False
+    assert all(results.values())

@@ -16,6 +16,25 @@ def test_round_trip_up_and_down():
         assert inversion.invert_down(P, inversion.forward_down(P, f)) == f
 
 
+def test_invert_matches_mobius_matrix_formula():
+    # the mu route, f(z) = sum_y mu(z, y) g(y) (up) or mu(y, z) g(y)
+    # (down), is the oracle for the back-substitution
+    rng = random.Random(13)
+    for n in (1, 2, 5, 17, 60, 200, 401, 450):
+        P = random_poset(n, rng.choice((0.01, 0.05, 0.3, 0.9)),
+                         rng.randrange(2 ** 30))
+        M = P.mobius_matrix()
+        g = [rng.randrange(-9, 10) for _ in range(n)]
+        saved = list(g)
+        want_up = [sum(M[z][y] * g[y] for y in range(n)) for z in range(n)]
+        want_down = [sum(M[y][z] * g[y] for y in range(n))
+                     for z in range(n)]
+        for g_in in (g, dict(zip(P.labels, g))):
+            assert inversion.invert_up(P, g_in) == want_up
+            assert inversion.invert_down(P, g_in) == want_down
+        assert g == saved
+
+
 def test_function_as_dict():
     P = boolean_lattice(2).poset
     f = {lab: len(lab) for lab in P.labels}

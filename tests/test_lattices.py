@@ -110,9 +110,33 @@ def test_weisner():
         for a in range(L.n):
             if a == L.zero:
                 continue
-            assert lattices.weisner_check(L, a)["pass"]
+            assert lattices.weisner_check(L, [a])[0]["pass"]
     with pytest.raises(LatticeError):
-        lattices.weisner_check(boolean_lattice(2), 0)
+        lattices.weisner_check(boolean_lattice(2), [0])
+
+
+def test_weisner_reports_follow_the_element_list():
+    L = boolean_lattice(3)
+    P = L.poset
+    elements = [P.idx(lab) for lab in ("123", "1", "12")]
+    reports = lattices.weisner_check(L, elements)
+    assert [set(r["witnesses"]) for r in reports] == [
+        set(P.labels) - {"123"}, {"23"}, {"3", "13", "23"}]
+    assert all(r["lhs"] == r["rhs"] == -1 for r in reports)
+    with pytest.raises(LatticeError):
+        lattices.weisner_check(L, [P.idx("1"), L.zero])
+
+
+def test_edited_results_do_not_change_later_answers():
+    L = boolean_lattice(3)
+    P = L.poset
+    M = P.mobius_matrix()
+    M[0][-1] = 99
+    P.mobius_row(0)[1] = 99
+    P.mobius_col(L.one)[0] = 99
+    assert P.mobius_idx(0, 7) == -1
+    assert P.mobius_idx(0, 1) == -1
+    assert all(r["pass"] for r in lattices.weisner_check(L, range(1, L.n)))
 
 
 def test_cutset_with_atoms_and_coatoms():

@@ -3,8 +3,9 @@ from itertools import product
 
 import pytest
 
-from mobiuslab.instances import (boolean_lattice, partition_lattice,
-                                 random_poset, subspace_lattice)
+from mobiuslab.instances import (boolean_lattice, divisor_lattice,
+                                 partition_lattice, random_poset,
+                                 subspace_lattice)
 from mobiuslab.nulldesigns import (MeetSemilattice, restrict_to_interval,
                                    strength, support_lower_bound,
                                    verify_support_theorem)
@@ -71,8 +72,18 @@ def test_restrict_at_top_is_identity():
     P = boolean_lattice(3).poset
     S = MeetSemilattice(P)
     f = alternating(P)
-    fb = restrict_to_interval(S, f, "123")
+    fb = restrict_to_interval(S, f, P.idx("123"))
     assert fb == {lab: f[i] for i, lab in enumerate(P.labels)}
+
+
+def test_integer_labels_are_not_read_as_indices():
+    # D_12 has six elements labelled by ints; b is always an index
+    P = divisor_lattice(12).poset
+    S = MeetSemilattice(P)
+    assert support_lower_bound(S, P.idx(6)) == 4
+    f = {x: x for x in P.labels}
+    assert restrict_to_interval(S, f, P.idx(4)) == {1: 1 + 3, 2: 2 + 6,
+                                                    4: 4 + 12}
 
 
 def test_support_lower_bound_closed_forms():
@@ -80,7 +91,7 @@ def test_support_lower_bound_closed_forms():
         P = boolean_lattice(n).poset
         S = MeetSemilattice(P)
         for t in range(n):
-            b = next(lab for lab in P.labels if len(lab) == t + 1)
+            b = P.idx(next(lab for lab in P.labels if len(lab) == t + 1))
             assert support_lower_bound(S, b) == 2 ** (t + 1)
     for q, n in ((2, 2), (2, 3), (2, 4), (3, 2)):
         L = subspace_lattice(q, n)
