@@ -5,7 +5,7 @@ polynomials, and the linear-code weight check."""
 from itertools import combinations, product
 
 from .guards import check_size
-from .instances import Graph, _Field, contraction_lattice
+from .instances import _Field, contraction_lattice
 from .lattices import Lattice, whitney_rank_sums
 from .posets import Poset
 
@@ -61,19 +61,13 @@ class AtomMatroid:
     def __init__(self, L):
         self.lattice = L
         self.atoms = L.atoms()
-        self._rank_cache = {}
 
     @property
     def rank(self):
         return self.lattice.height
 
     def subset_rank(self, T):
-        key = frozenset(T)
-        got = self._rank_cache.get(key)
-        if got is None:
-            got = self.lattice.rank[self.lattice.join_set(T)]
-            self._rank_cache[key] = got
-        return got
+        return self.lattice.rank[self.lattice.join_set(T)]
 
     def is_independent(self, T):
         T = list(T)

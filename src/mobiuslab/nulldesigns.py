@@ -46,6 +46,14 @@ def strength(S, f):
     return t
 
 
+def _meet_fibres(S, f, b):
+    """fibre[c] = sum of f(x) over the x with x ^ b = c, in one pass."""
+    fibre = [0] * S.n
+    for x in range(S.n):
+        fibre[S.meet(x, b)] += f[x]
+    return fibre
+
+
 def restrict_to_interval(S, f, b):
     """f_b(c) = sum over x with x ^ b = c of f(x), computed both by that
     meet-fiber sum and by Mobius inversion over [c, b]; the routes must
@@ -54,16 +62,16 @@ def restrict_to_interval(S, f, b):
     P = S.poset
     f = _as_values(P, f)
     hat = forward_up(P, f)
+    fibre = _meet_fibres(S, f, b)
     out = {}
     for c in _bits(P.down[b]):
-        fibre = sum(f[x] for x in range(P.n) if S.meet(x, b) == c)
         row = P.mobius_row(c)
         inverted = sum(row[y] * hat[y] for y in _bits(P.up[c] & P.down[b]))
-        if fibre != inverted:
+        if fibre[c] != inverted:
             raise ArithmeticError(
                 "interval restriction routes disagree at "
-                f"{P.labels[c]!r}: fiber {fibre}, inversion {inverted}")
-        out[P.labels[c]] = fibre
+                f"{P.labels[c]!r}: fiber {fibre[c]}, inversion {inverted}")
+        out[P.labels[c]] = fibre[c]
     return out
 
 
@@ -100,12 +108,10 @@ def verify_support_theorem(S, f):
     b = candidates[0]
     col = P.mobius_col(b)
     bound = sum(abs(col[c]) for c in _bits(P.down[b]))
-    ledger = []
-    for c in _bits(P.down[b]):
-        fibre = sum(f[x] for x in range(P.n) if S.meet(x, b) == c)
-        ledger.append({"c": P.labels[c], "mu_times_hat": col[c] * hat[b],
-                       "fiber_sum": fibre,
-                       "pass": col[c] * hat[b] == fibre})
+    fibre = _meet_fibres(S, f, b)
+    ledger = [{"c": P.labels[c], "mu_times_hat": col[c] * hat[b],
+               "fiber_sum": fibre[c], "pass": col[c] * hat[b] == fibre[c]}
+              for c in _bits(P.down[b])]
     ok = len(support) >= bound and all(e["pass"] for e in ledger)
     if len(support) == bound:
         ok = ok and all(f[x] in (-1, 1) for x in support)

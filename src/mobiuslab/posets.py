@@ -10,7 +10,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import compress, count
 
-from .exactmat import identity, mat_pow
+from .exactmat import mat_pow
 
 
 class PosetError(ValueError):
@@ -380,28 +380,31 @@ class Poset:
             raise PosetError(f"{a!r} is not below {b!r}")
         return self.restrict(_bits(self.up[i] & self.down[j]))
 
-    def adjoin_bounds(self):
-        """Adjoin a fresh bottom and a fresh top, always (even when the
-        poset is already bounded)."""
-        bot, top = "0^", "1^"
-        while bot in self.index:
-            bot += "'"
-        while top in self.index:
-            top += "'"
-        labels = [bot] + list(self.labels) + [top]
-        arcs = [(i + 1, j + 1) for i, j in self.covers]
-        minimal = [i for i in range(self.n) if self.down[i] == 1 << i]
-        maximal = [i for i in range(self.n) if self.up[i] == 1 << i]
-        if self.n == 0:
-            arcs.append((0, 1))
-        arcs += [(0, i + 1) for i in minimal]
-        arcs += [(i + 1, len(labels) - 1) for i in maximal]
-        return Poset._from_arcs(labels, arcs)
+    def mobius_number(self, indices=None):
+        """mu(0^, 1^) of the subposet induced on the given element indices
+        (all of P by default) with a fresh bottom and top adjoined.
 
-    def mobius_number(self):
-        """mu(0^, 1^) of the poset with fresh bounds adjoined."""
-        hat = self.adjoin_bounds()
-        return hat.mobius_row(0)[hat.n - 1]
+        One push over the parent's masks, building no poset: the induced
+        order is up[x] & keep, and the linear extension restricted to keep
+        is one of it.  Every mu(0^, x) starts at -1, the 0^ term, and is
+        final once x is reached; mu(0^, 1^) = -(1 + sum_x mu(0^, x)).
+        """
+        if indices is None:
+            keep = (1 << self.n) - 1
+        else:
+            keep = 0
+            for i in indices:
+                keep |= 1 << i
+        up = self.up
+        mu = [-1] * self.n
+        total = 0
+        for x in _bits(keep):
+            v = mu[x]
+            if v:
+                total += v
+                for y in _bits(up[x] & keep ^ 1 << x):
+                    mu[y] -= v
+        return -1 - total
 
     def is_isomorphic_brute(self, other):
         """Order-isomorphism test by backtracking search (small posets)."""

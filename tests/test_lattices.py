@@ -1,3 +1,4 @@
+import contextlib
 import random
 
 import pytest
@@ -36,6 +37,16 @@ def test_join_meet_tables():
     assert L.meet(a, b) == L.zero
     assert L.join_set([]) == L.zero
     assert L.meet_set([]) == L.one
+
+
+def test_rank_cannot_be_edited_through_its_result():
+    # writing into the returned ranks must not change a later answer
+    L = boolean_lattice(3)
+    r = L.rank
+    with contextlib.suppress(TypeError):
+        r[3] = 0
+    assert lattices.whitney_numbers(L) == [1, 3, 3, 1]
+    assert lattices.is_modular_lattice(L)
 
 
 def test_rank_and_jordan_dedekind():
@@ -206,8 +217,10 @@ def test_dowling_complement_reports_ideal_failure(monkeypatch):
     # entry lies outside the inner block; the verdict reports it
     L = boolean_lattice(3)
     right = Poset.mobius_number
-    monkeypatch.setattr(Poset, "mobius_number",
-                        lambda self: right(self) + (self.n == L.n - 2))
+    monkeypatch.setattr(
+        Poset, "mobius_number",
+        lambda self, indices=None: right(self, indices)
+        + (indices is not None and len(indices) == L.n - 2))
     r = lattices.dowling_complement_check(L)
     assert r["pass"] is False
 

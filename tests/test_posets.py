@@ -136,11 +136,24 @@ def test_mobius_number_conventions():
     assert boolean_lattice(2).poset.mobius_number() == 0
 
 
-def test_adjoin_bounds_labels_fresh():
-    P = Poset.from_covers(["0^", "1^"], [])
-    Q = P.adjoin_bounds()
-    assert Q.n == 4
-    assert len(set(Q.labels)) == 4
+def test_mobius_number_of_subset_equals_hall_chain_sum():
+    # mu(0^, 1^) of the induced subposet with bounds adjoined is
+    # -1 + sum of (-1)^(|c| + 1) over its nonempty chains c
+    rng = random.Random(10)
+    for n in range(11):
+        for _ in range(12):
+            labels = list(range(n))
+            arcs = [(i, j) for i in labels for j in labels[i + 1:]
+                    if rng.random() < 0.3]
+            P = Poset.from_covers(labels, arcs)
+            subsets = [[], list(range(n))] + [
+                [i for i in range(n) if rng.random() < 0.6]
+                for _ in range(4)]
+            for S in subsets:
+                hall = -1 + sum((-1) ** (len(c) + 1)
+                                for c in P.restrict(S).all_chains())
+                assert P.mobius_number(S) == hall, (n, arcs, S)
+            assert P.mobius_number() == P.mobius_number(range(n))
 
 
 def test_json_round_trip():

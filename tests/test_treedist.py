@@ -261,3 +261,22 @@ def test_no_assert_statements():
                         and node.id == "AssertionError")):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_unused_imports():
+    # every name a module imports is read somewhere in it; __init__ is
+    # skipped, since its imports are the package's re-exports
+    found = []
+    for path in sorted(Path(treedist.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
