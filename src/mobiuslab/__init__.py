@@ -2,15 +2,15 @@
 matrices, lattice identities, matroid polynomials, tree distance
 matrices, and support bounds for null designs."""
 
-from .complexes import (MonotoneMap, SimplicialComplex, dismantle, is_cone,
+from .complexes import (MonotoneMap, dismantle, euler_characteristic,
                         is_dismantlable, order_complex, retract_check,
                         verify_baclawski, verify_ideal_decomposition)
 from .guards import SizeGuardError, check_size
 from .instances import (Graph, boolean_lattice, chain, complete_graph,
                         contraction_lattice, cycle_graph, divisor_lattice,
-                        partition_lattice, path_graph, random_connected_graph,
+                        partition_lattice, random_connected_graph,
                         random_graph, random_poset, random_tree,
-                        subspace_lattice, truncate)
+                        subspace_lattice)
 from .inversion import (derangements, derangements_bruteforce, forward_down,
                         forward_up, invert_down, invert_up,
                         lindstrom_wilf_det)
@@ -29,8 +29,6 @@ from .matroid import (AtomMatroid, broken_circuits, characteristic_polynomial,
 from .nulldesigns import (MeetSemilattice, restrict_to_interval, strength,
                           support_lower_bound, verify_support_theorem)
 from .posets import Poset, PosetError, poset_from_json, poset_to_json
-from .treedist import (RootedTree, distance_inverse, distance_matrix,
-                       graham_lovasz_check, graham_pollak_det, tree_zeta,
-                       tree_zeta_inverse)
+from .treedist import RootedTree, distance_matrix, tree_zeta, verify_tree
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -200,7 +200,7 @@ def cmd_chains(args, P):
 
 
 def cmd_euler(args, P):
-    chi = complexes.order_complex(P).euler_characteristic()
+    chi = complexes.euler_characteristic(P)
     mu = P.mobius_number()
     return ({"euler_characteristic": chi, "mobius_number": mu,
              "pass": chi == 1 + mu}, f"chi = {chi}, mu = {mu}")
@@ -329,13 +329,20 @@ def cmd_nulldesign(args, P):
 
 def _suite(seed):
     rng = random.Random(seed)
-    B = instances.boolean_lattice
+    # the fixed lattices, built once per call and shared by the checks
+    B3, B4 = instances.boolean_lattice(3), instances.boolean_lattice(4)
+    Pi4, Pi5 = instances.partition_lattice(4), instances.partition_lattice(5)
+    L22 = instances.subspace_lattice(2, 2)
+    L23 = instances.subspace_lattice(2, 3)
     items = []
+
+    def random_poset(k):
+        return instances.random_poset(rng.randrange(1, k), rng.random(),
+                                      rng.randrange(2 ** 30))
 
     def check_inversion():
         for _ in range(20):
-            P = instances.random_poset(rng.randrange(1, 10), rng.random(),
-                                       rng.randrange(2 ** 30))
+            P = random_poset(10)
             M = P.mobius_matrix()
             if mat_mul(M, P.zeta_matrix()) != identity(P.n):
                 return False
@@ -349,7 +356,7 @@ def _suite(seed):
     items.append(("mobius inversion round-trip", check_inversion))
 
     def check_boolean_mu():
-        P = B(4).poset
+        P = B4.poset
         M = P.mobius_matrix()
         return all(M[a][b] == (-1) ** (len(P.labels[b]) - len(P.labels[a]))
                    for a in range(P.n) for b in _bits(P.up[a]))
@@ -357,8 +364,7 @@ def _suite(seed):
 
     def check_chain_sum():
         for _ in range(10):
-            P = instances.random_poset(rng.randrange(1, 8), rng.random(),
-                                       rng.randrange(2 ** 30))
+            P = random_poset(8)
             M = P.mobius_matrix()
             if any(P.mobius_by_chains(a, b) != M[a][b]
                    for a in range(P.n) for b in _bits(P.up[a])):
@@ -374,8 +380,7 @@ def _suite(seed):
 
     def check_lindstrom_wilf():
         for _ in range(10):
-            P = instances.random_poset(rng.randrange(1, 7), rng.random(),
-                                       rng.randrange(2 ** 30))
+            P = random_poset(7)
             f = [rng.randrange(-3, 4) for _ in range(P.n)]
             if inversion.lindstrom_wilf_det(P, f)[1] != math.prod(f):
                 return False
@@ -393,20 +398,16 @@ def _suite(seed):
 
     def check_euler():
         for _ in range(20):
-            P = instances.random_poset(rng.randrange(1, 9), rng.random(),
-                                       rng.randrange(2 ** 30))
-            chi = complexes.order_complex(P).euler_characteristic()
-            if chi != 1 + P.mobius_number():
+            P = random_poset(9)
+            if complexes.euler_characteristic(P) != 1 + P.mobius_number():
                 return False
         return True
     items.append(("order-complex Euler characteristic", check_euler))
 
     def check_baclawski():
         for _ in range(10):
-            P = instances.random_poset(rng.randrange(1, 8), rng.random(),
-                                       rng.randrange(2 ** 30))
-            Q = instances.random_poset(rng.randrange(1, 6), rng.random(),
-                                       rng.randrange(2 ** 30))
+            P = random_poset(8)
+            Q = random_poset(6)
             f = complexes.random_monotone_map(P, Q, rng.randrange(2 ** 30))
             if not complexes.verify_baclawski(f)["pass"]:
                 return False
@@ -415,36 +416,31 @@ def _suite(seed):
 
     def check_weisner():
         return all(r["pass"]
-                   for L in (B(4), instances.subspace_lattice(2, 2),
-                             instances.partition_lattice(4))
+                   for L in (B4, L22, Pi4)
                    for r in lattices.weisner_check(L, range(1, L.n)))
     items.append(("Weisner's lemma", check_weisner))
 
     def check_cutset():
         return all(lattices.cutset_mobius(L, L.atoms())
                    == L.poset.mobius_idx(L.zero, L.one)
-                   for L in (B(3), instances.subspace_lattice(2, 3)))
+                   for L in (B3, L23))
     items.append(("cutset alternating sum", check_cutset))
 
     def check_walker():
-        L = B(3)
-        return all(lattices.walker_complement_check(L, a)["pass"]
-                   for a in range(L.n) if a not in (L.zero, L.one))
+        return all(lattices.walker_complement_check(B3, a)["pass"]
+                   for a in range(B3.n) if a not in (B3.zero, B3.one))
     items.append(("complement deletion", check_walker))
 
     def check_modular_factorization():
-        L = instances.subspace_lattice(2, 3)
-        a = L.atoms()[0]
-        if not lattices.modular_factorization(L, a)["pass"]:
+        if not lattices.modular_factorization(L23, L23.atoms()[0])["pass"]:
             return False
-        if L.poset.mobius_idx(L.zero, L.one) != -8:
+        if L23.poset.mobius_idx(L23.zero, L23.one) != -8:
             return False
-        P5 = instances.partition_lattice(5)
-        return P5.poset.mobius_idx(P5.zero, P5.one) == 24
+        return Pi5.poset.mobius_idx(Pi5.zero, Pi5.one) == 24
     items.append(("modular factorization", check_modular_factorization))
 
     def check_nbc():
-        report = matroid.whitney_theorem_check(instances.partition_lattice(5))
+        report = matroid.whitney_theorem_check(Pi5)
         want = [matroid.stirling_first_unsigned(5, 5 - k)
                 for k in range(len(report["lhs"]))]
         return report["pass"] and report["lhs"] == want
@@ -471,7 +467,7 @@ def _suite(seed):
     items.append(("codeword weights", check_codes))
 
     def check_dowling_wilson():
-        for L in (B(4), instances.subspace_lattice(2, 2)):
+        for L in (B4, L22):
             if not lattices.dowling_wilson_check(L)["pass"]:
                 return False
             d = L.height
@@ -484,27 +480,24 @@ def _suite(seed):
     items.append(("join-complement permutation", check_dowling_wilson))
 
     def check_basterfield_kelly():
-        return (lattices.basterfield_kelly_check(B(4))["pass"]
-                and lattices.basterfield_kelly_check(
-                    instances.partition_lattice(4))["pass"])
+        return (lattices.basterfield_kelly_check(B4)["pass"]
+                and lattices.basterfield_kelly_check(Pi4)["pass"])
     items.append(("points vs hyperplanes", check_basterfield_kelly))
 
     def check_kung():
-        return (lattices.kung_check(B(4), 1)["pass"]
-                and lattices.kung_check(instances.partition_lattice(4),
-                                        1)["pass"])
+        return (lattices.kung_check(B4, 1)["pass"]
+                and lattices.kung_check(Pi4, 1)["pass"])
     items.append(("rank-set incidence rank", check_kung))
 
     def check_deletion():
         return all(lattices.point_deletion(L, p)[1]["pass"]
-                   for L in (B(3), instances.contraction_lattice(
+                   for L in (B3, instances.contraction_lattice(
                        instances.complete_graph(3)))
                    for p in L.atoms())
     items.append(("point deletion recursion", check_deletion))
 
     def check_nulldesign():
-        L = B(3)
-        P = L.poset
+        P = B3.poset
         f = [(-1) ** len(str(lab)) for lab in P.labels]
         S = nulldesigns.MeetSemilattice(P)
         if nulldesigns.strength(S, f) != 2:

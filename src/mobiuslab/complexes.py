@@ -3,74 +3,28 @@ plus numerical verification of the fibre and ideal-decomposition
 identities."""
 
 from .guards import check_size
-from .posets import Poset, PosetError, _bits
-
-
-class SimplicialComplex:
-    """Family of nonempty faces closed under nonempty subsets.
-
-    Faces are stored explicitly; construction runs a closure pass so a
-    generating family of faces may be supplied.
-    """
-
-    def __init__(self, faces):
-        closed = set()
-        stack = [frozenset(f) for f in faces]
-        for f in stack:
-            if not f:
-                raise ValueError("the empty face is excluded by convention")
-        while stack:
-            f = stack.pop()
-            if f in closed or not f:
-                continue
-            closed.add(f)
-            for v in f:
-                g = f - {v}
-                if g and g not in closed:
-                    stack.append(g)
-        self.faces = closed
-        self.vertices = sorted({v for f in closed for v in f}, key=str)
-
-    def level_numbers(self):
-        """f_k = number of faces of dimension k."""
-        if not self.faces:
-            return []
-        top = max(len(f) for f in self.faces)
-        counts = [0] * top
-        for f in self.faces:
-            counts[len(f) - 1] += 1
-        return counts
-
-    def euler_characteristic(self):
-        return sum((-1) ** k * fk for k, fk in enumerate(self.level_numbers()))
-
-    def face_poset(self):
-        """The faces ordered by inclusion, as a Poset."""
-        labels = sorted(self.faces, key=lambda f: (len(f), sorted(map(str, f))))
-        labels = [tuple(sorted(f, key=str)) for f in labels]
-        pos = {f: i for i, f in enumerate(labels)}
-        arcs = []
-        for f in labels:
-            fs = frozenset(f)
-            for g in labels:
-                if len(g) == len(f) + 1 and fs < frozenset(g):
-                    arcs.append((pos[f], pos[g]))
-        return Poset._from_arcs(labels, arcs)
+from .posets import PosetError, _bits
 
 
 def order_complex(P):
-    """Simplicial complex of all nonempty chains of P."""
+    """Face counts by dimension (the f-vector) of the order complex of P.
+    Its faces are the nonempty chains of P, so f[k] is the number of
+    chains of k + 1 elements, counted by enumerating them."""
     check_size("order_complex", P.n, 20)
-    faces = [frozenset(P.labels[i] for i in c) for c in P.all_chains()]
-    return SimplicialComplex(faces)
+    f = []
+    for c in P.all_chains():
+        # chains come depth first, so a chain of k + 1 elements follows
+        # one of k elements
+        if len(c) > len(f):
+            f.append(0)
+        f[len(c) - 1] += 1
+    return f
 
 
-def is_cone(P):
-    """Return the label of an element comparable with all others, or None."""
-    for i in range(P.n):
-        if P.up[i].bit_count() + P.down[i].bit_count() - 1 == P.n:
-            return P.labels[i]
-    return None
+def euler_characteristic(P):
+    """chi of the order complex of P: the alternating sum of its
+    f-vector.  Hall's theorem makes it 1 + mu(P) with bounds adjoined."""
+    return sum((-1) ** k * fk for k, fk in enumerate(order_complex(P)))
 
 
 class MonotoneMap:

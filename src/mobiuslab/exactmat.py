@@ -25,19 +25,6 @@ def mat_mul(A, B):
     return out
 
 
-def mat_pow(A, m):
-    n = len(A)
-    result = identity(n)
-    base = [row[:] for row in A]
-    while m:
-        if m & 1:
-            result = mat_mul(result, base)
-        m >>= 1
-        if m:
-            base = mat_mul(base, base)
-    return result
-
-
 def transpose(A):
     return [list(col) for col in zip(*A)] if A else []
 

@@ -1,11 +1,8 @@
 """Size guards for generators and enumerations.
 
 Every guard fails fast, before any large allocation, and reports the
-computed size estimate.  The environment variable MOBIUSLAB_MAX_ELEMENTS
-overrides the per-operation limits (unsafe; documented in the README).
+computed size estimate.  Every limit is a constant.
 """
-
-import os
 
 # Vertex limit of trees. The tree identities build the n x n distance
 # matrix and take its determinant by Bareiss elimination, O(n^3) steps
@@ -16,15 +13,11 @@ TREE_VERTICES = 300
 class SizeGuardError(ValueError):
     def __init__(self, what, estimate, limit):
         super().__init__(
-            f"{what}: estimated size {estimate} exceeds limit {limit} "
-            "(set MOBIUSLAB_MAX_ELEMENTS to override)")
+            f"{what}: estimated size {estimate} exceeds limit {limit}")
         self.estimate = estimate
         self.limit = limit
 
 
 def check_size(what, estimate, limit):
-    override = os.environ.get("MOBIUSLAB_MAX_ELEMENTS")
-    if override is not None:
-        limit = int(override)
     if estimate > limit:
         raise SizeGuardError(what, estimate, limit)

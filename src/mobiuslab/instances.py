@@ -58,10 +58,6 @@ def cycle_graph(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def path_graph(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
 # -- subset, chain, divisor families -------------------------------------
 
 def boolean_lattice(n):
@@ -137,6 +133,8 @@ def gaussian_binomial(n, k, q):
 def subspace_lattice(q, n):
     """Subspaces of GF(q)^n ordered by containment, labeled by canonical
     reduced-row-echelon bases."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     F = _Field(q)
     total = sum(gaussian_binomial(n, k, q) for k in range(n + 1))
     check_size("subspace_lattice", total, 10 ** 5)
@@ -230,24 +228,37 @@ def _rgs(blocks, n):
 
 
 def _all_partitions(n):
-    """All set partitions of {0..n-1} as tuples of sorted tuples."""
-    parts = [()]
-    out = []
+    """Yield every set partition of {0..n-1} as a tuple of sorted
+    tuples."""
 
     def rec(x, blocks):
         if x == n:
-            out.append(tuple(tuple(b) for b in blocks))
+            yield tuple(tuple(b) for b in blocks)
             return
         for i in range(len(blocks)):
             blocks[i].append(x)
-            rec(x + 1, blocks)
+            yield from rec(x + 1, blocks)
             blocks[i].pop()
         blocks.append([x])
-        rec(x + 1, blocks)
+        yield from rec(x + 1, blocks)
         blocks.pop()
 
-    rec(0, [])
-    return out
+    return rec(0, [])
+
+
+def _bell(n, limit):
+    """Bell(n), the number of partitions of an n-set, by the Bell
+    triangle.  The triangle stops at the first Bell number above limit,
+    which is then returned as a lower bound on Bell(n)."""
+    row = [1]
+    for _ in range(n):
+        if row[0] > limit:
+            break
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
 
 
 def _partition_poset(partitions, n):
@@ -273,13 +284,17 @@ def partition_lattice(n):
     if n < 1:
         raise ValueError("n must be positive")
     check_size("partition_lattice", n, 9)
-    partitions = _all_partitions(n)
-    return Lattice(_partition_poset(partitions, n))
+    return Lattice(_partition_poset(list(_all_partitions(n)), n))
 
 
 def contraction_lattice(G):
     """Partitions of the vertex set whose every cell induces a connected
     subgraph, under refinement."""
+    # every partition of the vertices is enumerated, and only those with
+    # connected cells are kept: Bell(12) = 4213597 passes this guard,
+    # Bell(13) = 27644437 does not
+    enumerated, kept = 5 * 10 ** 6, 10 ** 5
+    check_size("contraction_lattice", _bell(G.n, enumerated), enumerated)
     adj = G.adjacency()
 
     def connected_cell(cell):
@@ -294,13 +309,23 @@ def contraction_lattice(G):
                     stack.append(w)
         return seen == cell
 
-    partitions = [p for p in _all_partitions(G.n)
-                  if all(connected_cell(c) for c in p)]
-    check_size("contraction_lattice", len(partitions), 10 ** 5)
+    partitions = []
+    count = 0
+    for p in _all_partitions(G.n):
+        if all(connected_cell(c) for c in p):
+            count += 1
+            if count <= kept:
+                partitions.append(p)
+    check_size("contraction_lattice", count, kept)
     return Lattice(_partition_poset(partitions, G.n))
 
 
-# -- random instances and truncation -------------------------------------
+# -- random instances ----------------------------------------------------
+
+# Both random generators visit every pair of vertices, and random_graph
+# lists them; 2 * 10^6 pairs is about 2000 vertices.
+_PAIR_LIMIT = 2 * 10 ** 6
+
 
 def random_poset(n, density, seed):
     """Random poset: each pair i < j of 0..n-1 is related with the given
@@ -310,6 +335,7 @@ def random_poset(n, density, seed):
         raise ValueError("n must be at least 1")
     if not 0 <= density <= 1:
         raise ValueError("density must be in [0, 1]")
+    check_size("random_poset", n * (n - 1) // 2, _PAIR_LIMIT)
     rng = random.Random(seed)
     arcs = [(i, j) for i in range(n) for j in range(i + 1, n)
             if rng.random() < density]
@@ -328,6 +354,9 @@ def random_tree(n, seed):
 
 def random_graph(n, edge_count, seed):
     """Random simple graph with the requested number of edges."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    check_size("random_graph", n * (n - 1) // 2, _PAIR_LIMIT)
     rng = random.Random(seed)
     pairs = list(combinations(range(n), 2))
     if edge_count > len(pairs):
@@ -345,20 +374,3 @@ def random_connected_graph(n, edge_count, seed):
     pool = [e for e in combinations(range(n), 2) if e not in tree]
     extra = rng.sample(pool, edge_count - len(tree))
     return Graph(n, sorted(tree | set(extra)))
-
-
-def truncate(L, k):
-    """Collapse all elements of rank >= k to a single new top."""
-    if not 1 <= k <= L.height:
-        raise ValueError(f"k must be in 1..{L.height}")
-    keep = [x for x in range(L.n) if L.rank[x] < k]
-    below = L.poset.restrict(keep)
-    top = "1^"
-    while top in set(map(str, below.labels)):
-        top += "'"
-    labels = list(below.labels) + [top]
-    pos = len(below.labels)
-    arcs = [(i, j) for i, j in below.covers]
-    maximal = [i for i in range(below.n) if below.up[i] == 1 << i]
-    arcs += [(i, pos) for i in maximal]
-    return Lattice(Poset._from_arcs(labels, arcs))

@@ -61,12 +61,6 @@ class Lattice:
             common &= self.poset.up[i]
         return (common & -common).bit_length() - 1
 
-    def meet_set(self, indices):
-        common = self.poset.down[self.one]
-        for i in indices:
-            common &= self.poset.down[i]
-        return common.bit_length() - 1
-
     @property
     def rank(self):
         """Per-element rank (longest chain from zero) as a tuple,
@@ -95,11 +89,6 @@ class Lattice:
     def complements(self, a):
         return [x for x in range(self.n)
                 if self.meet(a, x) == self.zero and self.join(a, x) == self.one]
-
-    def interval_lattice(self, a, b):
-        P = self.poset
-        sub = P.restrict(_bits(P.up[a] & P.down[b]))
-        return Lattice(sub)
 
     def labels(self, indices):
         return [self.poset.labels[i] for i in indices]

@@ -106,8 +106,8 @@ def verify_support_theorem(S, f):
         raise PosetError(f"no element of height {t + 1} has a nonzero "
                          "up-sum")
     b = candidates[0]
+    bound = support_lower_bound(S, b)
     col = P.mobius_col(b)
-    bound = sum(abs(col[c]) for c in _bits(P.down[b]))
     fibre = _meet_fibres(S, f, b)
     ledger = [{"c": P.labels[c], "mu_times_hat": col[c] * hat[b],
                "fiber_sum": fibre[c], "pass": col[c] * hat[b] == fibre[c]}

@@ -6,11 +6,8 @@ extension is computed by a deterministic Kahn ordering with ties broken
 by input label order: identical input always yields identical matrices.
 """
 
-from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import compress, count
-
-from .exactmat import mat_pow
 
 
 class PosetError(ValueError):
@@ -185,21 +182,11 @@ class Poset:
 
     # -- basic queries ---------------------------------------------------
 
-    def leq(self, i, j):
-        return bool(self.up[i] >> j & 1)
-
-    def leq_labels(self, a, b):
-        return bool(self.up[self.index[a]] >> self.index[b] & 1)
-
     def idx(self, a):
         try:
             return self.index[a]
         except KeyError:
             raise PosetError(f"unknown label {a!r}") from None
-
-    def longest_chain_length(self):
-        """Length (number of covers) of a longest chain in the poset."""
-        return max(self.heights(), default=0)
 
     def heights(self):
         """Per-element longest-chain-from-a-minimal-element lengths."""
@@ -212,12 +199,6 @@ class Poset:
 
     def zeta_matrix(self):
         return [[m >> j & 1 for j in range(self.n)] for m in self.up]
-
-    def strict_zeta_matrix(self):
-        Z = self.zeta_matrix()
-        for i in range(self.n):
-            Z[i][i] = 0
-        return Z
 
     def mobius_row(self, a):
         """Row a of the Mobius matrix, by the recursion
@@ -256,9 +237,6 @@ class Poset:
         """mu(i, j) by index; a caller that reads many entries of one row
         or column computes that row or column once instead."""
         return self.mobius_row(i)[j]
-
-    def mobius(self, a, b):
-        return self.mobius_idx(self.idx(a), self.idx(b))
 
     # -- chains ----------------------------------------------------------
 
@@ -303,44 +281,6 @@ class Poset:
 
         for i in range(self.n):
             yield from extend([i])
-
-    def strict_zeta_power(self, m):
-        """(Y_P)^m; entry (i,j) counts chains of length m from p_i to p_j."""
-        return mat_pow(self.strict_zeta_matrix(), m)
-
-    def zeta_power_poly_check(self, a, b, degrees):
-        """Check that the (a,b) entry of Z^m is a single polynomial in m
-        of degree at most the longest-chain length.
-
-        Interpolates through the first samples and verifies the remaining
-        samples plus two held-out values of m.
-        """
-        i, j = self.idx(a), self.idx(b)
-        L = self.longest_chain_length()
-        degrees = sorted(set(degrees))
-        if len(degrees) < L + 1:
-            raise PosetError(
-                f"need at least {L + 1} sample degrees, got {len(degrees)}")
-        Z = self.zeta_matrix()
-
-        def entry(m):
-            return mat_pow(Z, m)[i][j]
-
-        nodes = degrees[:L + 1]
-        values = [Fraction(entry(m)) for m in nodes]
-        held_out = degrees[L + 1:] + [max(degrees) + 1, max(degrees) + 2]
-
-        def interpolate(x):
-            total = Fraction(0)
-            for k, mk in enumerate(nodes):
-                term = values[k]
-                for t, mt in enumerate(nodes):
-                    if t != k:
-                        term *= Fraction(x - mt, mk - mt)
-                total += term
-            return total
-
-        return all(interpolate(m) == entry(m) for m in held_out)
 
     # -- constructions ---------------------------------------------------
 

@@ -1,11 +1,10 @@
 """Distance matrices of trees in exact arithmetic: the zeta
 factorization D = Z^T H Z, the shape-independent determinant, and the
-rational closed-form inverse."""
+closed-form inverses, checked in integers after scaling by 2n - 2."""
 
-from fractions import Fraction
 from operator import mul
 
-from .exactmat import bareiss_det, identity, mat_mul, transpose
+from .exactmat import bareiss_det, mat_mul, transpose
 from .guards import TREE_VERTICES, check_size
 
 
@@ -75,9 +74,6 @@ class RootedTree:
             out.append(self.parent_pos[out[-1]])
         return out[::-1]
 
-    def depth(self, i):
-        return len(self.ancestors(i)) - 1
-
 
 def distance_matrix(T):
     """D[u][v] = number of edges on the path between u and v."""
@@ -111,19 +107,6 @@ def tree_zeta(T):
     return Z
 
 
-def tree_zeta_inverse(T):
-    """The three-case inverse: 1 on the diagonal, -1 at (parent, child),
-    0 elsewhere; verified against Z by multiplication."""
-    n = T.n
-    M = identity(n)
-    for v in range(1, n):
-        M[T.parent_pos[v]][v] = -1
-    if mat_mul(M, tree_zeta(T)) != identity(n):
-        raise ArithmeticError("three-case inverse of the tree zeta matrix "
-                              "failed its check")
-    return M
-
-
 def _h_matrix(n):
     H = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -132,35 +115,6 @@ def _h_matrix(n):
             if i == j:
                 H[i][j] -= 2
     return H
-
-
-def _factorization(T, D):
-    Z = tree_zeta(T)
-    rhs = mat_mul(transpose(Z), mat_mul(_h_matrix(T.n), Z))
-    return {"identity": "distance factorization", "lhs": D, "rhs": rhs,
-            "pass": D == rhs, "witnesses": []}
-
-
-def graham_lovasz_check(T):
-    """D = Z^T H Z with H = 1 e1^T + e1 1^T - 2I."""
-    return _factorization(T, distance_matrix(T))
-
-
-def h_det_check(n):
-    """det H = (1/2)(n-1)(-2)^(n-1), checked by exact elimination."""
-    det = bareiss_det(_h_matrix(n))
-    closed = (n - 1) * (-2) ** (n - 1) // 2
-    return {"identity": "det H", "lhs": det, "rhs": closed,
-            "pass": det == closed, "witnesses": []}
-
-
-def graham_pollak_det(T):
-    """det D by exact elimination. The Graham-Pollak theorem says it is
-    (n-1)(-1)^(n-1) 2^(n-2) for every tree shape; `verify_tree` compares
-    the two."""
-    if T.n < 2:
-        raise ValueError("determinant formula needs n >= 2")
-    return bareiss_det(distance_matrix(T))
 
 
 # The closed-form inverses are scaled by K = 2n - 2, which clears every
@@ -244,37 +198,14 @@ def distance_inverse_ok(T, D, S):
     return True
 
 
-def _over(S, K):
-    return [[Fraction(x, K) for x in row] for row in S]
-
-
-def h_inverse(n):
-    """Closed-form inverse of H (first index is the root), verified in
-    integers; raises ArithmeticError if the check fails."""
-    S = scaled_h_inverse(n)
-    if not h_inverse_ok(S):
-        raise ArithmeticError("closed-form inverse of H failed its check")
-    return _over(S, 2 * n - 2)
-
-
-def distance_inverse(T):
-    """D^{-1} = (1/(2n-2)) beta beta^T - (1/2)(Delta - A) with
-    beta = (2I - Delta) 1, verified exactly against D (and H^{-1}
-    against H); raises ArithmeticError if a check fails."""
-    S = scaled_distance_inverse(T)
-    if not (h_inverse_ok(scaled_h_inverse(T.n))
-            and distance_inverse_ok(T, distance_matrix(T), S)):
-        raise ArithmeticError("closed-form inverse of D failed its check")
-    return _over(S, 2 * T.n - 2)
-
-
 def verify_tree(T):
     """Every identity of this module on T, from one distance matrix: the
     factorization D = Z^T H Z, det D against the Graham-Pollak closed
     form, and both closed-form inverses. det, closed_form and
     inverse_verified are None on a single vertex."""
     D = distance_matrix(T)
-    factor = _factorization(T, D)["pass"]
+    Z = tree_zeta(T)
+    factor = D == mat_mul(transpose(Z), mat_mul(_h_matrix(T.n), Z))
     if T.n < 2:
         return {"identity": "tree distance identities", "det": None,
                 "closed_form": None, "inverse_verified": None,

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -375,28 +376,16 @@ def test_closed_stdout_exits_quietly(tmp_path):
     assert b"Traceback" not in err and b"Error" not in err
 
 
-def test_gen_chain_size_guard(tmp_path, monkeypatch):
+def test_gen_chain_size_guard(tmp_path):
     r = run_child(tmp_path, sys.executable, "-m", "mobiuslab", "gen",
                   "--family", "chain", "--n", "1000000000")
     assert r.returncode == 2 and r.stdout == b""
     assert r.stderr == (b"error: chain: estimated size 1000000001 exceeds "
-                        b"limit 20000 (set MOBIUSLAB_MAX_ELEMENTS to "
-                        b"override)\n")
-    monkeypatch.setenv("MOBIUSLAB_MAX_ELEMENTS", "30000")
-    r = run_child(tmp_path, sys.executable, "-m", "mobiuslab", "gen",
-                  "--family", "chain", "--n", "20000")
-    assert r.returncode == 0
-    assert len(json.loads(r.stdout)["elements"]) == 20001
-    monkeypatch.setenv("MOBIUSLAB_MAX_ELEMENTS", "3")
-    r = run_child(tmp_path, sys.executable, "-m", "mobiuslab", "gen",
-                  "--family", "chain", "--n", "3")
-    assert r.returncode == 2 and b"limit 3 " in r.stderr
-    assert b"Traceback" not in r.stderr
+                        b"limit 20000\n")
 
 
-def test_tree_size_guard(tmp_path, monkeypatch):
-    message = (b"tree: estimated size 1000000 exceeds limit 300 (set "
-               b"MOBIUSLAB_MAX_ELEMENTS to override)\n")
+def test_tree_size_guard(tmp_path):
+    message = b"tree: estimated size 1000000 exceeds limit 300\n"
     r = run_child(tmp_path, sys.executable, "-m", "mobiuslab", "tree",
                   "--n", "1000000")
     assert r.returncode == 2 and r.stdout == b""
@@ -411,16 +400,34 @@ def test_tree_size_guard(tmp_path, monkeypatch):
                   "--tree", str(tpath))
     assert r.returncode == 2 and b"estimated size 301 exceeds limit 300" \
         in r.stderr and b"Traceback" not in r.stderr
-    monkeypatch.setenv("MOBIUSLAB_MAX_ELEMENTS", "400")
-    r = run_child(tmp_path, sys.executable, "-m", "mobiuslab", "gen",
-                  "--family", "random-tree", "--n", "400")
-    assert r.returncode == 0 and len(r.stdout.splitlines()) == 399
-    assert treedist.RootedTree(301, 0, [None] + [0] * 300).n == 301
-    monkeypatch.setenv("MOBIUSLAB_MAX_ELEMENTS", "5")
-    r = run_child(tmp_path, sys.executable, "-m", "mobiuslab", "tree",
-                  "--n", "6")
-    assert r.returncode == 2 and b"limit 5 " in r.stderr
-    assert b"Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("family, n", [("subspace", "-1"),
+                                       ("random-graph", "-2")])
+def test_gen_negative_size(capsys, family, n):
+    code, out, err = run(capsys, "gen", "--family", family, "--n", n)
+    assert (code, out, err) == (2, "", "error: n must be nonnegative\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "random-poset", "--n", "2001"],
+     "random_poset: estimated size 2001000 exceeds limit 2000000"),
+    (["--family", "random-graph", "--n", "2001"],
+     "random_graph: estimated size 2001000 exceeds limit 2000000"),
+    (["--family", "contraction", "--graph", "k13.txt"],
+     "contraction_lattice: estimated size 27644437 exceeds limit 5000000"),
+])
+def test_gen_refuses_before_enumerating(capsys, tmp_path, monkeypatch,
+                                        argv, message):
+    # 13 vertices have Bell(13) partitions; the random families visit
+    # n(n-1)/2 pairs
+    monkeypatch.chdir(tmp_path)
+    Path("k13.txt").write_text("".join(f"{u} {v}\n" for u in range(13)
+                                       for v in range(u + 1, 13)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gen", *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_verify_all_reports_tree_failure(capsys, monkeypatch):

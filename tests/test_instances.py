@@ -5,8 +5,12 @@ from mobiuslab.guards import SizeGuardError
 from mobiuslab.instances import (Graph, boolean_lattice, chain,
                                  complete_graph, contraction_lattice,
                                  divisor_lattice, gaussian_binomial,
-                                 partition_lattice, path_graph, random_poset,
-                                 random_tree, subspace_lattice)
+                                 partition_lattice, random_graph,
+                                 random_poset, random_tree, subspace_lattice)
+
+
+def path_graph(n):
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def test_graph_validation():
@@ -124,3 +128,12 @@ def test_random_tree_determinism_and_shape():
     b = random_tree(9, 7)
     assert a.edges == b.edges
     assert len(a.edges) == 8 and a.is_connected()
+
+
+def test_negative_sizes_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
+        subspace_lattice(2, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        random_graph(-2, 0, 0)
+    assert subspace_lattice(2, 0).n == 1
+    assert random_graph(0, 0, 0).edges == []

@@ -166,7 +166,7 @@ def bound_tables(L):
 def dedekind_modular(L):
     join, meet = bound_tables(L)
     return all(join[a][meet[b][c]] == meet[join[a][b]][c]
-               for a in range(L.n) for c in range(L.n) if L.poset.leq(a, c)
+               for a in range(L.n) for c in range(L.n) if L.poset.up[a] >> c & 1
                for b in range(L.n))
 
 

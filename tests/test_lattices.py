@@ -6,8 +6,7 @@ import pytest
 from mobiuslab import lattices
 from mobiuslab.instances import (boolean_lattice, chain, complete_graph,
                                  contraction_lattice, divisor_lattice,
-                                 partition_lattice, subspace_lattice,
-                                 truncate)
+                                 partition_lattice, subspace_lattice)
 from mobiuslab.lattices import Lattice, LatticeError, NotRankedError
 from mobiuslab.posets import Poset
 
@@ -36,7 +35,6 @@ def test_join_meet_tables():
     assert L.poset.labels[L.join(a, b)] == "12"
     assert L.meet(a, b) == L.zero
     assert L.join_set([]) == L.zero
-    assert L.meet_set([]) == L.one
 
 
 def test_rank_cannot_be_edited_through_its_result():
@@ -261,14 +259,9 @@ def test_point_deletion():
     assert not report["coloop"]
 
 
-def test_truncate_whitney():
-    L = truncate(boolean_lattice(4), 3)
-    assert lattices.whitney_numbers(L) == [1, 4, 6, 1]
-
-
 def test_interval_lattice():
     L = boolean_lattice(3)
-    sub = L.interval_lattice(L.poset.idx("1"), L.one)
+    sub = Lattice(L.poset.interval("1", "123"))
     assert sub.n == 4
 
 

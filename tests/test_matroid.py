@@ -6,14 +6,18 @@ from mobiuslab import matroid
 from mobiuslab.guards import SizeGuardError
 from mobiuslab.instances import (Graph, boolean_lattice, complete_graph,
                                  contraction_lattice, cycle_graph,
-                                 partition_lattice, path_graph,
-                                 random_connected_graph, subspace_lattice)
+                                 partition_lattice, random_connected_graph,
+                                 subspace_lattice)
 from mobiuslab.matroid import (AtomMatroid, broken_circuits,
                                characteristic_polynomial, chromatic_oracle,
                                chromatic_polynomial, circuits,
                                codeword_weight_check, coloring_count,
                                independents, nbc_counts, poly_eval,
                                stirling_first_unsigned)
+
+
+def path_graph(n):
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def test_polynomial_helpers():

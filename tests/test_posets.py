@@ -48,7 +48,7 @@ def test_transitive_reduction():
     P = Poset.from_covers(["a", "b", "c"],
                           [("a", "b"), ("b", "c"), ("a", "c")])
     assert len(P.covers) == 2
-    assert P.leq_labels("a", "c")
+    assert P.up[P.idx("a")] >> P.idx("c") & 1
 
 
 def test_mobius_is_zeta_inverse():
@@ -90,29 +90,23 @@ def test_hall_chain_sum_matches_matrix():
 
 
 def test_strict_zeta_counts_chains():
+    # entry (a, b) of the square of the strict zeta matrix counts the
+    # chains a < x < b
     P = boolean_lattice(3).poset
-    Y = P.strict_zeta_power(2)
+    Y = P.zeta_matrix()
+    for i in range(P.n):
+        Y[i][i] = 0
+    Y2 = mat_mul(Y, Y)
     a, b = P.idx(""), P.idx("123")
     chains2 = [c for c in P.chains_between(a, b) if len(c) == 3]
-    assert Y[a][b] == len(chains2)
-
-
-def test_zeta_power_polynomiality():
-    rng = random.Random(4)
-    for _ in range(10):
-        P = random_poset(rng.randrange(2, 8), rng.random(),
-                         rng.randrange(2 ** 30))
-        L = P.longest_chain_length()
-        samples = list(range(L + 3))
-        for a in range(P.n):
-            for b in bits(P.up[a]):
-                assert P.zeta_power_poly_check(a, b, samples)
+    assert Y2[a][b] == len(chains2) == 6
 
 
 def test_dual_and_product():
     P = diamond()
     D = P.dual()
-    assert D.mobius("1", "0") == P.mobius("0", "1") == 1
+    assert (D.mobius_idx(D.idx("1"), D.idx("0"))
+            == P.mobius_idx(P.idx("0"), P.idx("1")) == 1)
     Q = chain(1)
     prod = Q.product(Q)
     assert prod.n == 4
@@ -167,4 +161,4 @@ def test_density_extremes():
     P0 = random_poset(6, 0, 9)
     assert not P0.covers
     P1 = random_poset(6, 1, 9)
-    assert P1.longest_chain_length() == 5
+    assert max(P1.heights()) == 5
