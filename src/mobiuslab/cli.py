@@ -1,9 +1,11 @@
 """Command-line front end: generate instances, compute Mobius data, and
 run identity-verification suites with deterministic JSON output.
 
-Every subcommand is one row of the table in `_commands`.  `main` parses
-the arguments, loads the input the row names, calls the row's handler and
-writes what it returns: a JSON object, or CSV rows."""
+Every subcommand is one row of the table `_COMMANDS`, from which one
+parser is built per import.  `main` parses the arguments with it, loads
+the input the row names, looks the row's handler up by name in this
+module, calls it and writes what it returns: a JSON object, or CSV
+rows."""
 
 import argparse
 import json
@@ -525,49 +527,49 @@ _CSV = {"action": "store_true"}
 _SEED = {"type": int, "default": 0}
 
 
-def _commands():
-    """(name, help, input, handler, options) for every subcommand.  The
-    input "poset" or "lattice" adds a required --poset and "graph" a
-    required --graph; options maps each further flag to its argparse
-    keywords.  Built per call, so the handlers are looked up at run time."""
-    return [
-        ("gen", "generate an instance", None, cmd_gen,
-         {"--family": _REQUIRED, "--n": {"type": int, "default": 3},
-          "--q": {"type": int, "default": 2},
-          "--density": {"type": float, "default": 0.5}, "--seed": _SEED,
-          "--edges": {"type": int, "default": 0}, "--graph": {}}),
-        ("mu", "Mobius function of a pair", "poset", cmd_mu,
-         {"--from": _REQUIRED, "--to": _REQUIRED}),
-        ("zeta", "zeta matrix", "poset", cmd_zeta, {"--csv": _CSV}),
-        ("invert", "Mobius matrix, or invert a function's order sums",
-         "poset", cmd_invert,
-         {"--function": {},
-          "--direction": {"choices": ("up", "down"), "default": "up"},
-          "--csv": _CSV}),
-        ("chains", "chains between two elements", "poset", cmd_chains,
-         {"--from": _REQUIRED, "--to": _REQUIRED}),
-        ("euler", "order-complex Euler characteristic", "poset", cmd_euler,
-         {}),
-        ("lattice-check", "lattice recognition and classification",
-         "poset", cmd_lattice_check, {}),
-        ("weisner", "Weisner's lemma", "lattice", cmd_weisner,
-         {"--element": {}}),
-        ("cutset", "cutset alternating sum", "lattice", cmd_cutset,
-         {"--cutset": {"help": "comma-separated labels (default: the "
-                               "atoms)"}}),
-        ("chromatic", "chromatic polynomial of a graph", "graph",
-         cmd_chromatic, {}),
-        ("charpoly", "characteristic polynomial", "lattice", cmd_charpoly,
-         {}),
-        ("whitney", "Whitney numbers", "lattice", cmd_whitney,
-         {"--csv": _CSV}),
-        ("tree", "tree distance identities", None, cmd_tree,
-         {"--tree": {}, "--n": {"type": int}, "--seed": _SEED}),
-        ("nulldesign", "support bound for a function", "poset",
-         cmd_nulldesign, {"--function": _REQUIRED}),
-        ("verify-all", "run the identity suites", None, cmd_verify_all,
-         {"--seed": _SEED}),
-    ]
+# (name, help, input, handler, options) for every subcommand.  The input
+# "poset" or "lattice" adds a required --poset and "graph" a required
+# --graph; options maps each further flag to its argparse keywords.  The
+# parser keeps only each handler's name, and `main` looks that name up
+# when it runs, so a rebinding of a cmd_* name in this module takes effect.
+_COMMANDS = [
+    ("gen", "generate an instance", None, cmd_gen,
+     {"--family": _REQUIRED, "--n": {"type": int, "default": 3},
+      "--q": {"type": int, "default": 2},
+      "--density": {"type": float, "default": 0.5}, "--seed": _SEED,
+      "--edges": {"type": int, "default": 0}, "--graph": {}}),
+    ("mu", "Mobius function of a pair", "poset", cmd_mu,
+     {"--from": _REQUIRED, "--to": _REQUIRED}),
+    ("zeta", "zeta matrix", "poset", cmd_zeta, {"--csv": _CSV}),
+    ("invert", "Mobius matrix, or invert a function's order sums",
+     "poset", cmd_invert,
+     {"--function": {},
+      "--direction": {"choices": ("up", "down"), "default": "up"},
+      "--csv": _CSV}),
+    ("chains", "chains between two elements", "poset", cmd_chains,
+     {"--from": _REQUIRED, "--to": _REQUIRED}),
+    ("euler", "order-complex Euler characteristic", "poset", cmd_euler,
+     {}),
+    ("lattice-check", "lattice recognition and classification",
+     "poset", cmd_lattice_check, {}),
+    ("weisner", "Weisner's lemma", "lattice", cmd_weisner,
+     {"--element": {}}),
+    ("cutset", "cutset alternating sum", "lattice", cmd_cutset,
+     {"--cutset": {"help": "comma-separated labels (default: the "
+                           "atoms)"}}),
+    ("chromatic", "chromatic polynomial of a graph", "graph",
+     cmd_chromatic, {}),
+    ("charpoly", "characteristic polynomial", "lattice", cmd_charpoly,
+     {}),
+    ("whitney", "Whitney numbers", "lattice", cmd_whitney,
+     {"--csv": _CSV}),
+    ("tree", "tree distance identities", None, cmd_tree,
+     {"--tree": {}, "--n": {"type": int}, "--seed": _SEED}),
+    ("nulldesign", "support bound for a function", "poset",
+     cmd_nulldesign, {"--function": _REQUIRED}),
+    ("verify-all", "run the identity suites", None, cmd_verify_all,
+     {"--seed": _SEED}),
+]
 
 
 def _build_parser():
@@ -576,15 +578,18 @@ def _build_parser():
         description="Mobius functions of finite posets: computations and "
                     "identity checks")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, text, kind, handler, options in _commands():
+    for name, text, kind, handler, options in _COMMANDS:
         p = sub.add_parser(name, help=text)
         if kind is not None:
             p.add_argument("--graph" if kind == "graph" else "--poset",
                            required=True)
         for flag, keywords in options.items():
             p.add_argument(flag, **keywords)
-        p.set_defaults(handler=handler, input=kind)
+        p.set_defaults(handler=handler.__name__, input=kind)
     return ap
+
+
+_PARSER = _build_parser()
 
 
 def _load_input(args):
@@ -605,11 +610,12 @@ def _load_input(args):
 
 def main(argv=None):
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    handler = globals()[args.handler]
     try:
-        body, summary = args.handler(args, *_load_input(args))
+        body, summary = handler(args, *_load_input(args))
     except (InputError, PosetError, LatticeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

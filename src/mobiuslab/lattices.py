@@ -5,6 +5,7 @@ point/hyperplane counting, Kung's theorem, point deletion)."""
 from collections import Counter
 
 from .exactmat import bareiss_det, int_row_rank, mat_mul, transpose
+from .guards import check_size
 from .posets import PosetError, _bits, _covers_have_joins, _mask_bound
 
 
@@ -185,34 +186,40 @@ def weisner_check(L, elements):
 
 def is_cutset(L, cut):
     """A cutset meets every maximal chain from 0 to 1.  Returns a witness
-    maximal chain avoiding the set, or None if the set is a cutset."""
+    maximal chain avoiding the set, or None if the set is a cutset.
+
+    One depth-first pass over the covers that avoid the set: an element
+    once left without reaching 1 can never reach it, so it is entered at
+    most once, and the witness is the first chain in cover order."""
     cut = set(cut)
+    if L.zero in cut:
+        return None
     succ = {}
     for i, j in L.poset.covers:
         succ.setdefault(i, []).append(j)
-    if L.zero in cut:
-        return None
-
-    def dfs(x, chain):
-        if x == L.one:
-            return list(chain)
-        for y in succ.get(x, []):
-            if y in cut:
-                continue
-            chain.append(y)
-            hit = dfs(y, chain)
-            if hit:
-                return hit
+    seen = {L.zero}
+    chain = [L.zero]
+    pending = [iter(succ.get(L.zero, ()))]
+    while chain[-1] != L.one:
+        for y in pending[-1]:
+            if y not in cut and y not in seen:
+                seen.add(y)
+                chain.append(y)
+                pending.append(iter(succ.get(y, ())))
+                break
+        else:
             chain.pop()
-        return None
-
-    return dfs(L.zero, [L.zero])
+            pending.pop()
+            if not chain:
+                return None
+    return chain
 
 
 def cutset_mobius(L, cut):
     """mu(0,1) via the alternating count of subsets of the cutset that
     admit no bound strictly inside the lattice."""
     cut = sorted(set(cut))
+    check_size("cutset_mobius", 2 ** len(cut), 1 << 22)
     witness = is_cutset(L, cut)
     if witness is not None:
         raise LatticeError("not a cutset; untouched maximal chain: "

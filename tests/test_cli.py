@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import mobiuslab
-from mobiuslab import matroid, treedist
+from mobiuslab import cli, matroid, treedist
 from mobiuslab.cli import EXIT_BROKEN_PIPE, main
 
 
@@ -215,6 +216,32 @@ def test_cutset_refuses_non_crosscut(capsys, tmp_path):
     code, _, err = run(capsys, "cutset", "--poset", str(b2),
                        "--cutset", ",1")
     assert code == 2 and "'' is the bottom element" in err
+
+
+def rank_two(k):
+    """0 < a0, ..., a(k-1) < 1 as poset JSON: k atoms that are coatoms."""
+    atoms = [f"a{i}" for i in range(k)]
+    return json.dumps({"elements": ["0"] + atoms + ["1"],
+                       "covers": [["0", a] for a in atoms]
+                       + [[a, "1"] for a in atoms]})
+
+
+def test_cutset_size_guard(capsys, tmp_path):
+    # the alternating sum walks every subset of the cut: 2^23 is refused
+    # before the walk starts, with or without --cutset
+    path = tmp_path / "m23.json"
+    path.write_text(rank_two(23))
+    message = ("error: cutset_mobius: estimated size 8388608 exceeds limit "
+               "4194304\n")
+    start = time.perf_counter()
+    assert run(capsys, "cutset", "--poset", str(path)) == (2, "", message)
+    cut = ",".join(f"a{i}" for i in range(23))
+    assert run(capsys, "cutset", "--poset", str(path),
+               "--cutset", cut) == (2, "", message)
+    assert time.perf_counter() - start < 1
+    path.write_text(rank_two(5))
+    code, obj, _ = run_json(capsys, "cutset", "--poset", str(path))
+    assert code == 0 and obj["mu"] == obj["mu_matrix"] == 4
 
 
 def test_chromatic(capsys, tmp_path):
@@ -462,3 +489,53 @@ def test_verify_all_reports_whitney_failure(capsys, monkeypatch):
     results = {r["name"]: r["pass"] for r in json.loads(out)["results"]}
     assert results.pop("broken-circuit counts") is False
     assert all(results.values())
+
+
+# The parser is built once per import; every call to main reuses it.
+
+def test_main_looks_handlers_up_by_name(capsys, b3, monkeypatch):
+    calls = []
+    right = cli.cmd_whitney
+
+    def wrapper(args, L):
+        calls.append(L.n)
+        return right(args, L)
+    monkeypatch.setattr(cli, "cmd_whitney", wrapper)
+    code, obj, _ = run_json(capsys, "whitney", "--poset", b3)
+    assert code == 0 and obj["counts"] == [1, 3, 3, 1]
+    assert calls == [8]
+
+
+def test_calls_in_one_process_match_fresh_processes(capsys, b3, tmp_path,
+                                                    monkeypatch):
+    # help, a usage error, bad input and a good call, in that order, each
+    # against the same call alone in a new process
+    calls = [["--help"],
+             ["invert", "--poset", b3, "--direction", "sideways"],
+             ["mu", "--poset", str(tmp_path / "none.json"), "--from", "",
+              "--to", "1"],
+             ["mu", "--poset", b3, "--from", "", "--to", "123"]]
+    monkeypatch.setenv("COLUMNS", "80")
+    here = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in here] == [0, 2, 2, 0]
+    env = {**child_env(), "COLUMNS": "80"}
+    for argv, (code, out, err) in zip(calls, here):
+        r = subprocess.run([sys.executable, "-m", "mobiuslab", *argv],
+                           capture_output=True, cwd=tmp_path, env=env,
+                           timeout=120)
+        assert (r.returncode, r.stdout.decode(), r.stderr.decode()) == (
+            code, out, err)
+
+
+def test_main_builds_no_parser(capsys, b3, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(capsys, "gen", "--family", "chain", "--n", "2")[0] == 0
+    assert run(capsys, "euler", "--poset", b3)[0] == 0
+    assert run(capsys, "gen", "--n", "x")[0] == 2
+    assert built == []

@@ -243,7 +243,7 @@ def test_golden_covers_every_case():
 
 def test_golden_covers_every_command():
     used = {c[1][0] for c in _GEN + _QUERIES if c[1]}
-    assert {row[0] for row in cli._commands()} <= used
+    assert {row[0] for row in cli._COMMANDS} <= used
 
 
 def test_golden_under_optimize():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from mobiuslab import lattices
+from mobiuslab.guards import SizeGuardError
 from mobiuslab.instances import (boolean_lattice, chain, complete_graph,
                                  contraction_lattice, divisor_lattice,
                                  partition_lattice, subspace_lattice)
@@ -165,6 +166,79 @@ def test_cutset_rejects_non_cutset():
     L = boolean_lattice(3)
     with pytest.raises(LatticeError):
         lattices.cutset_mobius(L, [L.poset.idx("1")])
+
+
+def chain_dfs_cutset(L, cut):
+    """The first maximal chain avoiding the cut, in cover order, by a
+    depth-first search over chains with no visited set (the former
+    `is_cutset`), or None."""
+    cut = set(cut)
+    succ = {}
+    for i, j in L.poset.covers:
+        succ.setdefault(i, []).append(j)
+    if L.zero in cut:
+        return None
+
+    def dfs(x, chain):
+        if x == L.one:
+            return list(chain)
+        for y in succ.get(x, []):
+            if y in cut:
+                continue
+            chain.append(y)
+            hit = dfs(y, chain)
+            if hit:
+                return hit
+            chain.pop()
+        return None
+
+    return dfs(L.zero, [L.zero])
+
+
+def random_set_lattice(rng):
+    """An intersection-closed family of subsets of a 6-set with the whole
+    set added, under inclusion, with its elements listed in random order."""
+    family = {rng.getrandbits(6) for _ in range(rng.randint(1, 14))} | {63}
+    while True:
+        closed = family | {a & b for a in family for b in family}
+        if closed == family:
+            break
+        family = closed
+    labels = sorted(family, key=lambda s: rng.random())
+    return Lattice(Poset.from_covers(labels, [
+        (a, b) for a in family for b in family if a != b and a & b == a]))
+
+
+def test_is_cutset_equals_chain_dfs():
+    rng = random.Random(52)
+    named = [boolean_lattice(4), partition_lattice(4), divisor_lattice(60),
+             subspace_lattice(2, 3), Lattice(chain(1))]
+    found = {True: 0, False: 0}
+    for k in range(200):
+        L = named[k % 5] if k < 50 else random_set_lattice(rng)
+        for _ in range(5):
+            p = rng.random()
+            cut = [x for x in range(L.n) if rng.random() < p / 2]
+            want = chain_dfs_cutset(L, cut)
+            assert lattices.is_cutset(L, cut) == want
+            found[want is None] += 1
+    # both verdicts occur often
+    assert min(found.values()) > 200
+
+
+def test_cutset_guard_runs_before_the_walk():
+    # 23 of the 24 atoms of a rank-two lattice: not a cutset, but the
+    # size guard refuses it first
+    atoms = [f"a{i}" for i in range(24)]
+    L = Lattice(Poset.from_covers(["0"] + atoms + ["1"],
+                                  [("0", a) for a in atoms]
+                                  + [(a, "1") for a in atoms]))
+    with pytest.raises(SizeGuardError) as err:
+        lattices.cutset_mobius(L, L.atoms()[:23])
+    assert str(err.value) == ("cutset_mobius: estimated size 8388608 "
+                              "exceeds limit 4194304")
+    with pytest.raises(LatticeError):
+        lattices.cutset_mobius(L, L.atoms()[:22])
 
 
 def test_walker_complement_deletion():

@@ -76,6 +76,12 @@ def test_zeta_inverse_three_cases():
         assert mat_mul(M, tree_zeta(T)) == identity(n)
 
 
+def dense_congruence(T, M):
+    """Z^T M Z by two dense products with the tree's zeta matrix."""
+    Z = tree_zeta(T)
+    return mat_mul(transpose(Z), mat_mul(M, Z))
+
+
 def test_factorization_all_roots():
     # D = Z^T H Z with H = 1 e1^T + e1 1^T - 2I, from every root
     rng = random.Random(42)
@@ -84,10 +90,21 @@ def test_factorization_all_roots():
         g = random_tree(n, rng.randrange(2 ** 30))
         for root in range(n):
             T = RootedTree.from_graph(g, root)
-            Z = tree_zeta(T)
-            assert (mat_mul(transpose(Z), mat_mul(_h(n), Z))
-                    == distance_matrix(T))
+            assert dense_congruence(T, _h(n)) == distance_matrix(T)
             assert verify_tree(T)["pass"]
+
+
+def test_zeta_congruence_matches_dense_product():
+    rng = random.Random(48)
+    trees = [path(n, rng.randrange(n)) for n in (1, 2, 5, 17, 40)]
+    trees += [_random_rooted(rng, rng.randrange(1, 40)) for _ in range(40)]
+    for T in trees:
+        M = [[rng.randrange(-9, 10) for _ in range(T.n)]
+             for _ in range(T.n)]
+        assert (treedist._zeta_congruence(T, M)
+                == dense_congruence(T, M))
+        assert (treedist._zeta_congruence(T, _h(T.n))
+                == dense_congruence(T, _h(T.n)) == distance_matrix(T))
 
 
 def test_determinant_shape_independent():
@@ -276,6 +293,7 @@ UNCALLED = (
     ("forward_down", "oracle: the down-sums that invert_down undoes"),
     ("rank_axioms_check", "oracle: the matroid rank axioms by brute force"),
     ("broken_circuits", "oracle: broken circuits listed from circuits"),
+    ("tree_zeta", "oracle: the dense zeta matrix of D = Z^T H Z"),
     ("dual", "construction: the opposite order"),
     ("interval", "construction: the interval [a, b] as a poset"),
     ("retract_check", "order-map identity, not yet a verify-all row"),
