@@ -39,9 +39,16 @@ def _load_json(path):
 def _load_poset(path):
     obj = _load_json(path)
     try:
-        return poset_from_json(obj)
+        P = poset_from_json(obj)
     except (PosetError, KeyError, TypeError, ValueError) as e:
         raise InputError(f"{path}: {e}")
+    # labels are printed and looked up by str, so two must not share one
+    shown = {}
+    for lab in P.labels:
+        if shown.setdefault(str(lab), lab) is not lab:
+            raise InputError(f"{path}: labels {shown[str(lab)]!r} and "
+                             f"{lab!r} both print as {str(lab)!r}")
+    return P
 
 
 def _load_graph(path):
@@ -423,9 +430,11 @@ def _suite(seed):
     items.append(("Weisner's lemma", check_weisner))
 
     def check_cutset():
-        return all(lattices.cutset_mobius(L, L.atoms())
+        # the rank levels of a graded lattice, atoms to coatoms, are crosscuts
+        return all(lattices.cutset_mobius(L, [x for x in range(L.n)
+                                              if L.rank[x] == k])
                    == L.poset.mobius_idx(L.zero, L.one)
-                   for L in (B3, L23))
+                   for L in (B3, L23) for k in range(1, L.height))
     items.append(("cutset alternating sum", check_cutset))
 
     def check_walker():

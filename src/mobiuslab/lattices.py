@@ -5,8 +5,8 @@ point/hyperplane counting, Kung's theorem, point deletion)."""
 from collections import Counter
 
 from .exactmat import bareiss_det, int_row_rank, mat_mul, transpose
-from .guards import check_size
-from .posets import PosetError, _bits, _covers_have_joins, _mask_bound
+from .posets import (PosetError, _bits, _cover_pairs, _covers_have_joins,
+                     _mask_bound)
 
 
 class LatticeError(PosetError):
@@ -100,21 +100,21 @@ class Lattice:
 
 # -- predicates ----------------------------------------------------------
 
-def _rank_gaps(L):
-    """r(a) + r(b) - r(a^b) - r(avb) for every pair a < b, with join and
-    meet read from the order masks."""
-    r, up, down = L.rank, L.poset.up, L.poset.down
-    for a in range(L.n):
-        ua, da, ra = up[a], down[a], r[a]
-        for b in range(a + 1, L.n):
-            common = ua & up[b]
-            yield (ra + r[b] - r[(common & -common).bit_length() - 1]
-                   - r[(da & down[b]).bit_length() - 1])
+def _semimodular_side(L, covers, bound):
+    """True iff, whenever x != y both cover some c in the cover pairs
+    (c, x), bound(x, y) covers both x and y in them."""
+    covers = set(covers)
+    for x, y in _cover_pairs(L.n, covers):
+        z = bound(x, y)
+        if (x, z) not in covers or (y, z) not in covers:
+            return False
+    return True
 
 
 def is_semimodular(L):
-    """Rank inequality r(a^b) + r(avb) <= r(a) + r(b) for all pairs."""
-    return all(gap >= 0 for gap in _rank_gaps(L))
+    """Upper semimodularity by the local criterion (Stanley, EC1 Prop.
+    3.3.2): whenever x != y both cover some c, x v y covers both."""
+    return _semimodular_side(L, L.poset.covers, L.join)
 
 
 def is_atomistic(L):
@@ -140,12 +140,10 @@ def is_modular_element(L, a):
 
 
 def is_modular_lattice(L):
-    """A finite lattice is modular iff it is graded and
-    r(a) + r(b) = r(a^b) + r(avb) for every pair (Birkhoff)."""
-    try:
-        return all(gap == 0 for gap in _rank_gaps(L))
-    except NotRankedError:
-        return False
+    """A finite lattice is modular iff it is upper and lower semimodular
+    (Birkhoff); the lower side goes first, as Pi_n fails only there."""
+    return (_semimodular_side(L, [(j, i) for i, j in L.poset.covers], L.meet)
+            and is_semimodular(L))
 
 
 def whitney_numbers(L):
@@ -216,30 +214,24 @@ def is_cutset(L, cut):
 
 
 def cutset_mobius(L, cut):
-    """mu(0,1) via the alternating count of subsets of the cutset that
-    admit no bound strictly inside the lattice."""
+    """mu(0,1) by Rota's crosscut theorem: the sum of (-1)^|T| over the
+    nonempty subsets T of the cutset whose join and meet lie in {0, 1}.
+    T counts only through its (join, meet), so the cut is folded in one
+    element at a time over the signed count of each (join, meet)."""
     cut = sorted(set(cut))
-    check_size("cutset_mobius", 2 ** len(cut), 1 << 22)
     witness = is_cutset(L, cut)
     if witness is not None:
         raise LatticeError("not a cutset; untouched maximal chain: "
                            + " < ".join(L.labels(witness)))
-    up, down = L.poset.up, L.poset.down
+    signed = Counter()
+    for c in cut:
+        grown = Counter({(c, c): -1})
+        for (j, m), count in signed.items():
+            grown[L.join(j, c), L.meet(m, c)] -= count
+        signed.update(grown)
     ends = (L.zero, L.one)
-
-    def walk(start, ups, downs):
-        # sum of (-1)^|T| over the nonempty T in cut[start:] whose union
-        # with the current subset S has no join or meet inside; ups and
-        # downs are the ANDs of the up- and down-masks over S
-        total = 0
-        for t in range(start, len(cut)):
-            u, d = ups & up[cut[t]], downs & down[cut[t]]
-            outside = ((u & -u).bit_length() - 1 in ends
-                       and d.bit_length() - 1 in ends)
-            total -= outside + walk(t + 1, u, d)
-        return total
-
-    return walk(0, up[L.zero], down[L.one])
+    return sum(count for (j, m), count in signed.items()
+               if j in ends and m in ends)
 
 
 def walker_complement_check(L, a):

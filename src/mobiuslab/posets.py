@@ -7,7 +7,7 @@ by input label order: identical input always yields identical matrices.
 """
 
 from heapq import heappop, heappush
-from itertools import compress, count
+from itertools import combinations, compress, count
 
 
 class PosetError(ValueError):
@@ -43,21 +43,25 @@ def _mask_bound(sets, i, j, greatest):
     return best if common & sets[best] == common else None
 
 
+def _cover_pairs(n, covers):
+    """Each pair x != y of elements that cover a common element, given
+    the cover pairs (c, x); given them reversed, the pairs covered by a
+    common element."""
+    above = [[] for _ in range(n)]
+    for c, x in covers:
+        above[c].append(x)
+    for xs in above:
+        yield from combinations(xs, 2)
+
+
 def _covers_have_joins(P):
     """True iff every pair of P with a common upper bound has a join, for
     P with a least element: a lattice if P has a top, else a meet
     semilattice.  Checking pairs of upper covers of each element suffices
     (proof in README).  Pairs with no common upper bound pass."""
     up = P.up
-    above = [[] for _ in range(P.n)]
-    for i, j in P.covers:
-        above[i].append(j)
-    for covers in above:
-        for k, x in enumerate(covers):
-            for y in covers[k + 1:]:
-                if up[x] & up[y] and _mask_bound(up, x, y, False) is None:
-                    return False
-    return True
+    return all(not up[x] & up[y] or _mask_bound(up, x, y, False) is not None
+               for x, y in _cover_pairs(P.n, P.covers))
 
 
 class Poset:

@@ -76,20 +76,15 @@ class RootedTree:
 
 
 def distance_matrix(T):
-    """D[u][v] = number of edges on the path between u and v."""
+    """D[u][v] = number of edges on the path between u and v.  No vertex
+    before v in the breadth-first order lies below v, so for u < v the
+    path runs through v's parent: D[v][u] = D[parent(v)][u] + 1."""
     n = T.n
-    anc = [T.ancestors(i) for i in range(n)]
-    depth = [len(a) - 1 for a in anc]
     D = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            common = 0
-            for a, b in zip(anc[i], anc[j]):
-                if a != b:
-                    break
-                common += 1
-            d = depth[i] + depth[j] - 2 * (common - 1)
-            D[i][j] = D[j][i] = d
+    for v in range(1, n):
+        row, above = D[v], D[T.parent_pos[v]]
+        for u in range(v):
+            row[u] = D[u][v] = above[u] + 1
     return D
 
 

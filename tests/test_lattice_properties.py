@@ -4,10 +4,17 @@ read only the order relation (the masks `up` and `down`) and search it.
 - `Lattice` and `MeetSemilattice` check pairs of upper covers only; their
   verdict and witness must equal a scan of all pairs by least-upper-bound
   search.
-- `is_modular_lattice` tests the rank equality; it must agree with
-  Dedekind's law a v (b ^ c) = (a v b) ^ c on all a <= c.
-- `cutset_mobius` walks the subsets of the cut once; it must agree with
-  the sum over `itertools.combinations`.
+- `is_modular_lattice` tests the local criteria of upper and lower
+  semimodularity on pairs of covers; it must agree with Dedekind's law
+  a v (b ^ c) = (a v b) ^ c on all a <= c.
+- `cutset_mobius` folds the cut in over signed counts per (join, meet);
+  it must agree with the sum over `itertools.combinations`.
+
+`tests/test_lattices.py` runs seeded versions of these without
+hypothesis: `is_semimodular` and `is_modular_lattice` against the rank
+gaps r(a) + r(b) - r(a v b) - r(a ^ b) over all pairs (`rank_gaps`), and
+`cutset_mobius` against the walk over every subset of the cut
+(`subset_walk`).
 
 Inputs are random posets with a least element, with and without a top:
 random DAGs and intersection-closed set families, some with a chain of

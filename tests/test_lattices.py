@@ -1,10 +1,10 @@
 import contextlib
 import random
+from collections import Counter
 
 import pytest
 
 from mobiuslab import lattices
-from mobiuslab.guards import SizeGuardError
 from mobiuslab.instances import (boolean_lattice, chain, complete_graph,
                                  contraction_lattice, divisor_lattice,
                                  partition_lattice, subspace_lattice)
@@ -226,19 +226,130 @@ def test_is_cutset_equals_chain_dfs():
     assert min(found.values()) > 200
 
 
-def test_cutset_guard_runs_before_the_walk():
-    # 23 of the 24 atoms of a rank-two lattice: not a cutset, but the
-    # size guard refuses it first
+def test_cutset_of_many_elements():
+    # 23 of the 24 atoms of a rank-two lattice miss a chain, all 24 are a
+    # cutset; so are the 63 coatoms of Pi_7
     atoms = [f"a{i}" for i in range(24)]
     L = Lattice(Poset.from_covers(["0"] + atoms + ["1"],
                                   [("0", a) for a in atoms]
                                   + [(a, "1") for a in atoms]))
-    with pytest.raises(SizeGuardError) as err:
+    with pytest.raises(LatticeError, match="chain: 0 < a23 < 1$"):
         lattices.cutset_mobius(L, L.atoms()[:23])
-    assert str(err.value) == ("cutset_mobius: estimated size 8388608 "
-                              "exceeds limit 4194304")
-    with pytest.raises(LatticeError):
-        lattices.cutset_mobius(L, L.atoms()[:22])
+    assert lattices.cutset_mobius(L, L.atoms()) == 23
+    Pi7 = partition_lattice(7)
+    assert len(Pi7.coatoms()) == 63
+    assert lattices.cutset_mobius(Pi7, Pi7.coatoms()) == 720
+
+
+def subset_walk(L, cut):
+    """sum of (-1)^|T| over the nonempty subsets T of the cut whose join
+    and meet both lie in {0, 1}, by walking every subset (the former
+    `cutset_mobius`)."""
+    up, down = L.poset.up, L.poset.down
+    ends = (L.zero, L.one)
+
+    def walk(start, ups, downs):
+        total = 0
+        for t in range(start, len(cut)):
+            u, d = ups & up[cut[t]], downs & down[cut[t]]
+            outside = ((u & -u).bit_length() - 1 in ends
+                       and d.bit_length() - 1 in ends)
+            total -= outside + walk(t + 1, u, d)
+        return total
+
+    return walk(0, up[L.zero], down[L.one])
+
+
+def seeded_cutset(L, rng):
+    """Random inner elements, then one more from every maximal chain that
+    the set misses (the top if the chain has no inner element)."""
+    inner = [x for x in range(L.n) if x not in (L.zero, L.one)]
+    cut = set(rng.sample(inner, rng.randint(0, min(4, len(inner)))))
+    while True:
+        chain = lattices.is_cutset(L, cut)
+        if chain is None:
+            return sorted(cut)
+        choices = [x for x in chain if x not in (L.zero, L.one)]
+        cut.add(rng.choice(choices) if choices else L.one)
+
+
+def rank_gaps(L):
+    """r(a) + r(b) - r(a^b) - r(avb) for every pair a < b, with join and
+    meet read from the order masks (the former `lattices._rank_gaps`)."""
+    r, up, down = L.rank, L.poset.up, L.poset.down
+    for a in range(L.n):
+        ua, da, ra = up[a], down[a], r[a]
+        for b in range(a + 1, L.n):
+            common = ua & up[b]
+            yield (ra + r[b] - r[(common & -common).bit_length() - 1]
+                   - r[(da & down[b]).bit_length() - 1])
+
+
+def graded(L):
+    try:
+        L.rank
+    except NotRankedError:
+        return False
+    return True
+
+
+M3 = (["0", "a", "b", "c", "1"],
+      [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"),
+       ("c", "1")])
+# ranked and semimodular, not atomistic
+SEMIMODULAR_8 = (range(8), [(0, 1), (0, 2), (1, 3), (1, 5), (2, 3), (2, 4),
+                            (3, 6), (4, 6), (5, 6), (6, 7)])
+
+
+def oracle_lattices():
+    """Named lattices, then seeded random intersection-closed ones."""
+    named = [boolean_lattice(n) for n in range(1, 7)]
+    named += [partition_lattice(n) for n in range(2, 7)]
+    named += [subspace_lattice(2, 2), subspace_lattice(2, 3),
+              subspace_lattice(3, 2)]
+    named += [divisor_lattice(n) for n in (12, 30, 72, 360)]
+    named += [Lattice(Poset.from_covers(*P)) for P in (
+        (["0", "a", "b", "c", "1"],
+         [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")]),
+        M3, SEMIMODULAR_8)]
+    rng = random.Random(53)
+    return named + [random_set_lattice(rng) for _ in range(150)]
+
+
+def test_semimodular_and_modular_equal_rank_gap_oracles():
+    seen = Counter()
+    for L in oracle_lattices():
+        gaps = list(rank_gaps(L)) if graded(L) else None
+        semimodular = gaps is not None and min(gaps, default=0) >= 0
+        modular = gaps is not None and not any(gaps)
+        assert lattices.is_semimodular(L) == semimodular
+        assert lattices.is_modular_lattice(L) == modular
+        seen[gaps is not None, semimodular, modular] += 1
+    # ungraded, graded but not semimodular, semimodular but not modular,
+    # and modular lattices all occur
+    assert set(seen) == {(False, False, False), (True, False, False),
+                         (True, True, False), (True, True, True)}
+    assert min(seen.values()) >= 5
+
+
+def test_cutset_mobius_equals_subset_walk():
+    # on any cutset against the walk; on the rank levels, which are
+    # crosscuts, also against mu by the crosscut theorem
+    rng = random.Random(54)
+    walked = 0
+    for L in oracle_lattices():
+        cuts = [seeded_cutset(L, rng) for _ in range(3)]
+        if graded(L):
+            mu = L.poset.mobius_idx(L.zero, L.one)
+            for k in range(1, L.height):
+                level = [x for x in range(L.n) if L.rank[x] == k]
+                assert lattices.cutset_mobius(L, level) == mu
+                cuts.append(level)
+        for cut in cuts:
+            if len(cut) <= 15:
+                assert lattices.cutset_mobius(L, cut) == subset_walk(L, cut)
+                walked += 1
+    assert walked > 500
 
 
 def test_walker_complement_deletion():

@@ -46,6 +46,31 @@ def test_distance_matrix_small():
     assert distance_matrix(RootedTree(1, 0, [None])) == [[0]]
 
 
+def root_path_distances(T):
+    """D[u][v] = depth(u) + depth(v) - 2 depth(last common ancestor), by
+    comparing the two root paths of every pair."""
+    n = T.n
+    anc = [T.ancestors(i) for i in range(n)]
+    D = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            common = 0
+            for a, b in zip(anc[i], anc[j]):
+                if a != b:
+                    break
+                common += 1
+            D[i][j] = len(anc[i]) + len(anc[j]) - 2 * common
+    return D
+
+
+def test_distance_matrix_matches_root_paths():
+    rng = random.Random(49)
+    trees = [path(300), path(120, rng.randrange(120)), star(30)]
+    trees += [_random_rooted(rng, n) for n in range(2, 301, 23)]
+    for T in trees:
+        assert distance_matrix(T) == root_path_distances(T)
+
+
 def _h(n):
     return [[(i == 0) + (j == 0) - 2 * (i == j) for j in range(n)]
             for i in range(n)]
