@@ -17,7 +17,8 @@ from .inversion import (derangements, derangements_bruteforce, forward_down,
 from .lattices import (Lattice, LatticeError, NotRankedError,
                        basterfield_kelly_check, cutset_mobius,
                        dowling_complement_check, dowling_wilson_check,
-                       is_geometric, is_modular_element, is_modular_lattice,
+                       is_geometric, is_lower_semimodular,
+                       is_modular_element, is_modular_lattice,
                        is_semimodular, kung_check, modular_factorization,
                        point_deletion, top_heavy_check, walker_complement_check,
                        weisner_check, whitney_numbers, whitney_rank_sums)

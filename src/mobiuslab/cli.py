@@ -91,7 +91,7 @@ def _load_function(P, path):
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise InputError(f"{path}: expected a label -> integer object")
-    by_str = {str(lab): i for i, lab in enumerate(P.labels)}
+    by_str = _by_str(P)
     values = [0] * P.n
     for key, v in obj.items():
         if key not in by_str:
@@ -102,11 +102,18 @@ def _load_function(P, path):
     return values
 
 
-def _resolve(P, text):
-    by_str = {str(lab): i for i, lab in enumerate(P.labels)}
-    if text in by_str:
-        return by_str[text]
-    raise InputError(f"no element labeled {text!r}")
+def _by_str(P):
+    """Each element's index, keyed by its printed label."""
+    return {str(lab): i for i, lab in enumerate(P.labels)}
+
+
+def _resolve(P, *texts):
+    """The indices of the elements printed as `texts`, from one map."""
+    by_str = _by_str(P)
+    for text in texts:
+        if text not in by_str:
+            raise InputError(f"no element labeled {text!r}")
+    return [by_str[text] for text in texts]
 
 
 def _emit(obj, summary):
@@ -162,8 +169,7 @@ def cmd_gen(args):
 
 
 def cmd_mu(args, P):
-    a = _resolve(P, getattr(args, "from"))
-    b = _resolve(P, args.to)
+    a, b = _resolve(P, getattr(args, "from"), args.to)
     if not P.up[a] >> b & 1:
         raise InputError("elements are incomparable (or reversed)")
     value = P.mobius_idx(a, b)
@@ -194,8 +200,7 @@ def cmd_invert(args, P):
 
 
 def cmd_chains(args, P):
-    a = _resolve(P, getattr(args, "from"))
-    b = _resolve(P, args.to)
+    a, b = _resolve(P, getattr(args, "from"), args.to)
     by_length = {}
     for c in P.chains_between(a, b):
         by_length[len(c) - 1] = by_length.get(len(c) - 1, 0) + 1
@@ -231,7 +236,10 @@ def cmd_lattice_check(args, P):
     except lattices.NotRankedError as e:
         body["ranked"] = False
         body["witness"] = str(e)
-    body["modular"] = lattices.is_modular_lattice(L)
+    # modular iff lower and upper semimodular; a finite upper
+    # semimodular lattice is graded, so an unranked one is neither
+    body["modular"] = (body.get("semimodular", False)
+                       and lattices.is_lower_semimodular(L))
     body["pass"] = True
     return body, f"lattice with {L.n} elements"
 
@@ -239,7 +247,7 @@ def cmd_lattice_check(args, P):
 def cmd_weisner(args, L):
     P = L.poset
     if args.element is not None:
-        targets = [_resolve(P, args.element)]
+        targets = _resolve(P, args.element)
     else:
         targets = [a for a in range(L.n) if a != L.zero]
     reports = lattices.weisner_check(L, targets)
@@ -273,7 +281,7 @@ def _check_crosscut(L, cut):
 def cmd_cutset(args, L):
     P = L.poset
     if args.cutset is not None:
-        cut = [_resolve(P, t) for t in args.cutset.split(",")]
+        cut = _resolve(P, *args.cutset.split(","))
         _check_crosscut(L, cut)
     else:
         cut = L.atoms()

@@ -139,11 +139,16 @@ def is_modular_element(L, a):
                for b in range(L.n))
 
 
+def is_lower_semimodular(L):
+    """The dual criterion: whenever x != y are both covered by some c,
+    both cover x ^ y."""
+    return _semimodular_side(L, [(j, i) for i, j in L.poset.covers], L.meet)
+
+
 def is_modular_lattice(L):
     """A finite lattice is modular iff it is upper and lower semimodular
     (Birkhoff); the lower side goes first, as Pi_n fails only there."""
-    return (_semimodular_side(L, [(j, i) for i, j in L.poset.covers], L.meet)
-            and is_semimodular(L))
+    return is_lower_semimodular(L) and is_semimodular(L)
 
 
 def whitney_numbers(L):

@@ -94,7 +94,8 @@ class Poset:
 
     @classmethod
     def from_covers(cls, labels, covers):
-        """Build a poset from cover (or any acyclic generating) relations.
+        """Build a poset from cover (or any acyclic generating) relations,
+        a list of (lo, hi) label pairs.
 
         Pairs that turn out to be transitively implied are reduced away;
         the stored covers are always the transitive reduction.
@@ -105,81 +106,104 @@ class Poset:
             if lab in index:
                 raise PosetError(f"duplicate label {lab!r}")
             index[lab] = i
-        arcs = []
-        for lo, hi in covers:
-            if lo not in index:
-                raise PosetError(f"unknown label {lo!r} in covers")
-            if hi not in index:
-                raise PosetError(f"unknown label {hi!r} in covers")
-            arcs.append((index[lo], index[hi]))
+        try:
+            arcs = [(index[lo], index[hi]) for lo, hi in covers]
+            # a two-letter string unpacks as a pair too
+            if not {*map(type, covers)} <= {list, tuple}:
+                raise TypeError
+        except (KeyError, TypeError, ValueError):
+            raise PosetError(_cover_error(index, covers)) from None
         return cls._from_arcs(labels, arcs)
 
     @classmethod
     def _from_arcs(cls, labels, arcs):
         """Finalize a poset given index arcs whose transitive closure is
-        the intended strict order.  Detects cycles, fixes the linear
-        extension, computes closure and transitive reduction."""
+        the intended strict order, in one reduce-and-close pass
+        (Goralcikova and Koubek, 1979), here on the down side.
+
+        The linear extension is Kahn's, always placing the smallest ready
+        index; as it walks the arcs it also gathers, for each element,
+        the positions of its predecessors in one mask.  Then, for each j
+        in linear-extension order, that mask is peeled highest bit first:
+        the highest bit i left is a lower cover of j, since every
+        predecessor placed after i is a cover or lies below one, and no
+        down-set taken so far holds i.  down[i] is ORed into down[j] and
+        removed from the mask, so an implied arc costs no OR.  up is
+        pushed back along the covers only."""
         n = len(labels)
-        succ = [set() for _ in range(n)]
+        succ = [[] for _ in range(n)]
         indeg = [0] * n
-        for i, j in set(arcs):
-            if i == j:
-                raise PosetError(
-                    f"cycle detected: {labels[i]} < {labels[i]}")
-            succ[i].add(j)
+        for i, j in arcs:
+            succ[i].append(j)
             indeg[j] += 1
-        # Kahn, always taking the smallest ready index
-        ready = [i for i in range(n) if indeg[i] == 0]
+        # a repeated arc counts once per copy on both sides; a self-loop
+        # keeps its element from ever being ready
+        ready = [i for i in range(n) if not indeg[i]]
         topo = []
+        below = [0] * n
         while ready:
             i = heappop(ready)
+            b = 1 << len(topo)
             topo.append(i)
             for j in succ[i]:
+                below[j] |= b
                 indeg[j] -= 1
-                if indeg[j] == 0:
+                if not indeg[j]:
                     heappush(ready, j)
         if len(topo) < n:
-            placed = set(topo)
-            start = next(i for i in range(n) if i not in placed)
-            cls._report_cycle(labels, succ, start)
-        pos = [0] * n
-        for new, old in enumerate(topo):
-            pos[old] = new
-        new_succ = [[pos[j] for j in succ[old]] for old in topo]
-        # closure: up-sets in reverse linear-extension order, down-sets
-        # forward; strict[i] is up[i] without bit i
-        up = [0] * n
-        strict = [0] * n
+            cls._report_cycle(labels, succ, topo)
+        down = [0] * n
+        upper = [[] for _ in range(n)]  # upper covers, increasing
+        for j in range(n):
+            left = below[topo[j]]
+            d = 1 << j
+            while left:
+                i = left.bit_length() - 1
+                upper[i].append(j)
+                d |= down[i]
+                left &= ~down[i]
+            down[j] = d
+        up = [1 << i for i in range(n)]
         for i in reversed(range(n)):
-            s = 0
-            for j in new_succ[i]:
-                s |= up[j]
-            strict[i] = s
-            up[i] = s | 1 << i
-        down = [1 << j for j in range(n)]
-        for i in range(n):
-            d = down[i]
-            for j in new_succ[i]:
-                down[j] |= d
-        # j covers i iff j is above i but above none of i's successors
-        covers = []
-        for i in range(n):
-            above = 0
-            for j in new_succ[i]:
-                above |= strict[j]
-            covers.extend((i, j) for j in _bits(strict[i] & ~above))
+            u = up[i]
+            for j in upper[i]:
+                u |= up[j]
+            up[i] = u
+        covers = [(i, j) for i, cov in enumerate(upper) for j in cov]
         return cls([labels[i] for i in topo], up, down, covers)
 
     @staticmethod
-    def _report_cycle(labels, succ, start):
+    def _report_cycle(labels, succ, placed):
+        """Raise a PosetError naming one cycle among the elements that
+        Kahn's order left unplaced: a self-loop if there is one."""
+        left = set(range(len(succ))).difference(placed)
+        loop = next((i for i in sorted(left) if i in succ[i]), None)
+        if loop is not None:
+            raise PosetError(
+                f"cycle detected: {labels[loop]} < {labels[loop]}")
+        # every successor of an unplaced element is unplaced; drop those
+        # that reach no cycle, so the walk below cannot end in a sink
+        out = {i: len(succ[i]) for i in left}
+        pred = {i: [] for i in left}
+        for i in left:
+            for j in succ[i]:
+                pred[j].append(i)
+        sinks = [i for i in left if not out[i]]
+        while sinks:
+            j = sinks.pop()
+            left.remove(j)
+            for i in pred[j]:
+                out[i] -= 1
+                if not out[i]:
+                    sinks.append(i)
         # walk forward until we revisit a node, then slice the cycle out
         path, seen = [], {}
-        i = start
+        i = min(left)
         while i not in seen:
             seen[i] = len(path)
             path.append(i)
-            nxt = [j for j in succ[i] if j in seen or j == i]
-            i = min(succ[i]) if not nxt else min(nxt)
+            nxt = [j for j in succ[i] if j in seen]
+            i = min(nxt) if nxt else min(j for j in succ[i] if j in left)
         cyc = path[seen[i]:] + [i]
         names = " < ".join(str(labels[k]) for k in cyc)
         raise PosetError(f"cycle detected: {names}")
@@ -205,20 +229,10 @@ class Poset:
         return [[m >> j & 1 for j in range(self.n)] for m in self.up]
 
     def mobius_row(self, a):
-        """Row a of the Mobius matrix, by the recursion
-        mu(a,b) = -sum_{a <= x < b} mu(a,x) in push form: mu(a,x) is final
-        once x is reached in linear-extension order, and is then
-        subtracted from every b > x; zeros are not pushed.  Every call
-        builds a new list, 0 at the b not above a."""
+        """Row a of the Mobius matrix.  Every call builds a new list, 0 at
+        the b not above a."""
         up = self.up
-        row = [0] * self.n
-        row[a] = 1
-        for x in _bits(up[a]):
-            v = row[x]
-            if v:
-                for b in _bits(up[x] ^ 1 << x):
-                    row[b] -= v
-        return row
+        return self._push_row(a, lambda x: _bits(up[x] ^ 1 << x))
 
     def mobius_col(self, b):
         """Column b of the Mobius matrix, via the dual recursion
@@ -235,7 +249,24 @@ class Poset:
         return col
 
     def mobius_matrix(self):
-        return [self.mobius_row(a) for a in range(self.n)]
+        """All rows, sharing one table of decoded strict up-sets that
+        lives only as long as the call."""
+        above = [tuple(_bits(m ^ 1 << x)) for x, m in enumerate(self.up)]
+        return [self._push_row(a, above.__getitem__) for a in range(self.n)]
+
+    def _push_row(self, a, above):
+        """Row a by the recursion mu(a,b) = -sum_{a <= x < b} mu(a,x) in
+        push form: mu(a,x) is final once x is reached in linear-extension
+        order, and is then subtracted from every b in above(x), the
+        strict up-set of x; zeros are not pushed."""
+        row = [0] * self.n
+        row[a] = 1
+        for x in [a, *above(a)]:
+            v = row[x]
+            if v:
+                for b in above(x):
+                    row[b] -= v
+        return row
 
     def mobius_idx(self, i, j):
         """mu(i, j) by index; a caller that reads many entries of one row
@@ -394,9 +425,23 @@ def poset_to_json(P):
             "covers": [[P.labels[i], P.labels[j]] for i, j in P.covers]}
 
 
+def _cover_error(index, covers):
+    """The message for the first entry of covers that is not a pair of
+    known labels; index maps each label to its position."""
+    for k, pair in enumerate(covers if type(covers) in (list, tuple) else ()):
+        if type(pair) not in (list, tuple) or len(pair) != 2:
+            return f"covers[{k}] is not a pair of labels"
+        for lab in pair:
+            try:
+                if lab not in index:
+                    return f"unknown label {lab!r} in covers"
+            except TypeError:
+                return f"covers[{k}] holds an unhashable label {lab!r}"
+    return "'covers' is not a list of pairs"
+
+
 def poset_from_json(data):
     if "elements" not in data or "covers" not in data:
         raise PosetError("poset JSON needs 'elements' and 'covers' keys")
     # non-cover relations in the input are accepted and reduced
-    return Poset.from_covers(data["elements"],
-                             [tuple(pair) for pair in data["covers"]])
+    return Poset.from_covers(data["elements"], data["covers"])

@@ -1,0 +1,88 @@
+"""Oracles for the order kernel that share no code with it: reachability
+by depth-first search, Kahn's order by a linear scan for the smallest
+ready index, Mobius rows by back-substitution over frozensets, and Hall's
+chain sums.  Imported by test_order_kernel.py and test_order_seeded.py.
+"""
+
+from mobiuslab.posets import Poset
+
+
+def bits(mask):
+    """Indices of the set bits of an order mask, in increasing order."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def reachable(n, arcs):
+    """reach[i] = set of j with a directed path i -> ... -> j (i included),
+    by a depth-first search from every vertex."""
+    succ = [[] for _ in range(n)]
+    for i, j in arcs:
+        succ[i].append(j)
+    reach = []
+    for s in range(n):
+        seen = {s}
+        stack = [s]
+        while stack:
+            for j in succ[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        reach.append(seen)
+    return reach
+
+
+def smallest_ready_order(n, arcs):
+    """Kahn's algorithm that always places the smallest ready index."""
+    succ = [[] for _ in range(n)]
+    indeg = [0] * n
+    for i, j in set(arcs):
+        succ[i].append(j)
+        indeg[j] += 1
+    order = []
+    ready = [i for i in range(n) if indeg[i] == 0]
+    while ready:
+        i = min(ready)
+        ready.remove(i)
+        order.append(i)
+        for j in succ[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                ready.append(j)
+    return order
+
+
+def mobius_rows(n, up, down, rows):
+    """Rows of the Mobius matrix by back-substitution over frozensets:
+    mu(a,b) = -sum over a <= x < b of mu(a,x), b in increasing order."""
+    out = {}
+    for a in rows:
+        row = [0] * n
+        row[a] = 1
+        for b in sorted(up[a]):
+            if b != a:
+                row[b] = -sum(row[x] for x in up[a] & down[b] if x != b)
+        out[a] = row
+    return out
+
+
+def chain_sum(up, a, b):
+    """Hall: mu(a,b) = sum over chains a = x0 < ... < xk = b of (-1)^k."""
+    if a == b:
+        return 1
+    return -sum(chain_sum(up, x, b) for x in up[a] if x != a and b in up[x])
+
+
+def build(labels, arcs):
+    """The poset, plus the oracle's frozenset up- and down-sets in the
+    poset's own element indices."""
+    P = Poset.from_covers(labels, arcs)
+    n = len(labels)
+    where = {lab: k for k, lab in enumerate(labels)}
+    index_arcs = [(where[a], where[b]) for a, b in arcs]
+    reach = reachable(n, index_arcs)
+    to_P = [P.index[lab] for lab in labels]
+    up = [None] * n
+    for i in range(n):
+        up[to_P[i]] = frozenset(to_P[j] for j in reach[i])
+    down = [frozenset(i for i in range(n) if j in up[i]) for j in range(n)]
+    return P, up, down, index_arcs

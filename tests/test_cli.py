@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import mobiuslab
-from mobiuslab import cli, matroid, treedist
+from mobiuslab import cli, lattices, matroid, treedist
 from mobiuslab.cli import EXIT_BROKEN_PIPE, main
 
 
@@ -169,6 +169,19 @@ def test_lattice_check(capsys, b3, tmp_path):
     assert not obj["is_lattice"] and "witness" in obj
 
 
+def test_lattice_check_scans_each_side_once(capsys, b3, monkeypatch):
+    # "modular" reuses the upper side that "semimodular" already scanned
+    scan, sides = lattices._semimodular_side, []
+
+    def counted(L, covers, bound):
+        sides.append(bound.__name__)
+        return scan(L, covers, bound)
+    monkeypatch.setattr(lattices, "_semimodular_side", counted)
+    code, obj, _ = run_json(capsys, "lattice-check", "--poset", b3)
+    assert code == 0 and obj["semimodular"] and obj["modular"]
+    assert sorted(sides) == ["join", "meet"]
+
+
 def test_non_lattice_past_400_elements(capsys, tmp_path):
     # a bowtie a, b < c, d above a 500-element chain, with a top added
     chain = [f"c{i}" for i in range(500)]
@@ -205,6 +218,15 @@ def test_cutset(capsys, b3):
     assert code == 0 and obj["mu"] == -1
     code, _, err = run(capsys, "cutset", "--poset", b3, "--cutset", "1")
     assert code == 2
+
+
+def test_cutset_maps_labels_once(capsys, b3, monkeypatch):
+    # the str -> index map is built once per call, not once per token
+    by_str, maps = cli._by_str, []
+    monkeypatch.setattr(cli, "_by_str", lambda P: maps.append(1) or by_str(P))
+    code, obj, _ = run_json(capsys, "cutset", "--poset", b3,
+                            "--cutset", "12,13,23")
+    assert code == 0 and obj["mu"] == -1 and len(maps) == 1
 
 
 def test_cutset_refuses_non_crosscut(capsys, tmp_path):
@@ -331,6 +353,33 @@ def test_malformed_json(capsys, tmp_path):
     code, _, err = run(capsys, "mu", "--poset", str(path),
                        "--from", "", "--to", "1")
     assert code == 2 and "line 2" in err
+
+
+@pytest.mark.parametrize("elements, covers, message", [
+    # the first three messages are the ones printed before entries were
+    # checked one by one, kept byte for byte
+    ("abc", [["a", "z"]], "unknown label 'z' in covers"),
+    ("abc", [["a", "b"], ["b", "b"]], "cycle detected: b < b"),
+    ("abc", [["a", "b"], ["b", "c"], ["c", "b"]],
+     "cycle detected: b < c < b"),
+    ("abc", [["a", "b"], 5], "covers[1] is not a pair of labels"),
+    ("abc", [["a"]], "covers[0] is not a pair of labels"),
+    ("abc", [["a", "b", "c"]], "covers[0] is not a pair of labels"),
+    # a two-letter string once unpacked as the pair b < c
+    ("abc", [["a", "b"], "bc"], "covers[1] is not a pair of labels"),
+    ("abc", [["a", ["b"]]], "covers[0] holds an unhashable label ['b']"),
+    ("abc", 5, "'covers' is not a list of pairs"),
+    # the unplaced element with the smallest index, c, lies past the
+    # cycle and has no successor
+    ("cab", [["a", "b"], ["b", "a"], ["b", "c"]],
+     "cycle detected: a < b < a"),
+])
+def test_bad_covers_named(capsys, tmp_path, elements, covers, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"elements": list(elements),
+                                "covers": covers}))
+    assert run(capsys, "invert", "--poset", str(path)) == (
+        2, "", f"error: {path}: {message}\n")
 
 
 # The child processes below import mobiuslab from the same place as this

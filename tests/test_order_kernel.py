@@ -1,5 +1,6 @@
 """Property tests of the bitmask order kernel in Poset._from_arcs and the
-Mobius recursions, against oracles that share no code with it.
+Mobius recursions, against the oracles in order_oracles.py, which share
+no code with it.
 
 Inputs are random DAGs: labels in shuffled order, arcs drawn along a
 hidden topological order, with duplicated and transitively implied
@@ -15,12 +16,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from mobiuslab.posets import Poset
+from order_oracles import (bits, build, chain_sum,  # noqa: E402
+                           mobius_rows, smallest_ready_order)
 
-
-def bits(mask):
-    """Indices of the set bits of an order mask, in increasing order."""
-    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+from mobiuslab.posets import Poset  # noqa: E402
 
 
 @st.composite
@@ -43,82 +42,6 @@ def dags(draw, max_n):
         arcs += extra
         rng.shuffle(arcs)
     return labels, [(labels[i], labels[j]) for i, j in arcs]
-
-
-def reachable(n, arcs):
-    """reach[i] = set of j with a directed path i -> ... -> j (i included),
-    by a depth-first search from every vertex."""
-    succ = [[] for _ in range(n)]
-    for i, j in arcs:
-        succ[i].append(j)
-    reach = []
-    for s in range(n):
-        seen = {s}
-        stack = [s]
-        while stack:
-            for j in succ[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        reach.append(seen)
-    return reach
-
-
-def smallest_ready_order(n, arcs):
-    """Kahn's algorithm that always places the smallest ready index."""
-    succ = [[] for _ in range(n)]
-    indeg = [0] * n
-    for i, j in set(arcs):
-        succ[i].append(j)
-        indeg[j] += 1
-    order = []
-    ready = [i for i in range(n) if indeg[i] == 0]
-    while ready:
-        i = min(ready)
-        ready.remove(i)
-        order.append(i)
-        for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                ready.append(j)
-    return order
-
-
-def mobius_rows(n, up, down, rows):
-    """Rows of the Mobius matrix by back-substitution over frozensets:
-    mu(a,b) = -sum over a <= x < b of mu(a,x), b in increasing order."""
-    out = {}
-    for a in rows:
-        row = [0] * n
-        row[a] = 1
-        for b in sorted(up[a]):
-            if b != a:
-                row[b] = -sum(row[x] for x in up[a] & down[b] if x != b)
-        out[a] = row
-    return out
-
-
-def chain_sum(up, a, b):
-    """Hall: mu(a,b) = sum over chains a = x0 < ... < xk = b of (-1)^k."""
-    if a == b:
-        return 1
-    return -sum(chain_sum(up, x, b) for x in up[a] if x != a and b in up[x])
-
-
-def build(labels, arcs):
-    """The poset, plus the oracle's frozenset up- and down-sets in the
-    poset's own element indices."""
-    P = Poset.from_covers(labels, arcs)
-    n = len(labels)
-    where = {lab: k for k, lab in enumerate(labels)}
-    index_arcs = [(where[a], where[b]) for a, b in arcs]
-    reach = reachable(n, index_arcs)
-    to_P = [P.index[lab] for lab in labels]
-    up = [None] * n
-    for i in range(n):
-        up[to_P[i]] = frozenset(to_P[j] for j in reach[i])
-    down = [frozenset(i for i in range(n) if j in up[i]) for j in range(n)]
-    return P, up, down, index_arcs
 
 
 @settings(max_examples=60, deadline=None)
