@@ -28,6 +28,31 @@ def _bits(mask):
                     bin(mask >> low)[:1:-1].encode().translate(_BIT_BYTES))
 
 
+def _pull(n, a, walk, sets):
+    """One row or column of the Mobius matrix by the pull recursion.
+
+    The entry at a is 1, and each b of walk in turn gets
+    -(sum of the finished entries at the x in sets[b]); the finished
+    entries are a's and those of the b's walked before.  They are kept as
+    one mask per distinct nonzero value, so each sum is a popcount per
+    value class and decodes no set.  With walk the strict up-set of a in
+    linear-extension order and sets the down-sets, this is row a; with
+    the strict down-set in reverse order and the up-sets, column a.
+    """
+    vec = [0] * n
+    vec[a] = 1
+    classes = {1: 1 << a}
+    for b in walk:
+        s = sets[b]
+        v = 0
+        for w, m in classes.items():
+            v -= w * (m & s).bit_count()
+        if v:
+            vec[b] = v
+            classes[v] = classes.get(v, 0) | 1 << b
+    return vec
+
+
 def _mask_bound(sets, i, j, greatest):
     """Join or meet of elements i and j, or None if it does not exist.
 
@@ -103,8 +128,12 @@ class Poset:
         labels = list(labels)
         index = {}
         for i, lab in enumerate(labels):
-            if lab in index:
-                raise PosetError(f"duplicate label {lab!r}")
+            try:
+                if lab in index:
+                    raise PosetError(f"duplicate label {lab!r}")
+            except TypeError:
+                raise PosetError(f"elements[{i}] is an unhashable label "
+                                 f"{lab!r}") from None
             index[lab] = i
         try:
             arcs = [(index[lo], index[hi]) for lo, hi in covers]
@@ -229,49 +258,49 @@ class Poset:
         return [[m >> j & 1 for j in range(self.n)] for m in self.up]
 
     def mobius_row(self, a):
-        """Row a of the Mobius matrix.  Every call builds a new list, 0 at
-        the b not above a."""
-        up = self.up
-        return self._push_row(a, lambda x: _bits(up[x] ^ 1 << x))
+        """Row a of the Mobius matrix, pulled over the strict up-set of a
+        in linear-extension order: mu(a,b) = -sum_{a <= x < b} mu(a,x).
+        Every call builds a new list, 0 at the b not above a."""
+        return _pull(self.n, a, _bits(self.up[a] ^ 1 << a), self.down)
 
     def mobius_col(self, b):
         """Column b of the Mobius matrix, via the dual recursion
-        mu(c,b) = -sum_{c < x <= b} mu(x,b), pushed downwards in reverse
-        linear-extension order.  Every call builds a new list."""
-        down = self.down
-        col = [0] * self.n
-        col[b] = 1
-        for x in reversed([*_bits(down[b])]):
-            v = col[x]
-            if v:
-                for c in _bits(down[x] ^ 1 << x):
-                    col[c] -= v
-        return col
+        mu(c,b) = -sum_{c < x <= b} mu(x,b), pulled over the strict
+        down-set of b in reverse linear-extension order.  Every call
+        builds a new list."""
+        return _pull(self.n, b, reversed([*_bits(self.down[b] ^ 1 << b)]),
+                     self.up)
 
     def mobius_matrix(self):
-        """All rows, sharing one table of decoded strict up-sets that
-        lives only as long as the call."""
+        """All rows, by the recursion mu(a,b) = -sum_{a <= x < b} mu(a,x)
+        in push form: mu(a,x) is final once x is reached in
+        linear-extension order, and is then subtracted from every b in
+        the strict up-set of x; zeros are not pushed.  The strict up-sets
+        are decoded once into a table that lives only as long as the
+        call.  On whole matrices this push is faster than a pull per row.
+        """
+        n = self.n
         above = [tuple(_bits(m ^ 1 << x)) for x, m in enumerate(self.up)]
-        return [self._push_row(a, above.__getitem__) for a in range(self.n)]
-
-    def _push_row(self, a, above):
-        """Row a by the recursion mu(a,b) = -sum_{a <= x < b} mu(a,x) in
-        push form: mu(a,x) is final once x is reached in linear-extension
-        order, and is then subtracted from every b in above(x), the
-        strict up-set of x; zeros are not pushed."""
-        row = [0] * self.n
-        row[a] = 1
-        for x in [a, *above(a)]:
-            v = row[x]
-            if v:
-                for b in above(x):
-                    row[b] -= v
-        return row
+        rows = []
+        for a in range(n):
+            row = [0] * n
+            row[a] = 1
+            for x in (a, *above[a]):
+                v = row[x]
+                if v:
+                    for b in above[x]:
+                        row[b] -= v
+            rows.append(row)
+        return rows
 
     def mobius_idx(self, i, j):
-        """mu(i, j) by index; a caller that reads many entries of one row
-        or column computes that row or column once instead."""
-        return self.mobius_row(i)[j]
+        """mu(i, j) by index, pulled over the interval [i, j] only: 1 on
+        the diagonal, 0 unless i < j.  A caller that reads many entries of
+        one row or column computes that row or column once instead."""
+        if not self.up[i] >> j & 1:
+            return 0
+        return _pull(self.n, i, _bits(self.up[i] & self.down[j] ^ 1 << i),
+                     self.down)[j]
 
     # -- chains ----------------------------------------------------------
 
@@ -441,7 +470,11 @@ def _cover_error(index, covers):
 
 
 def poset_from_json(data):
+    if type(data) is not dict:
+        raise PosetError("poset JSON is not an object")
     if "elements" not in data or "covers" not in data:
         raise PosetError("poset JSON needs 'elements' and 'covers' keys")
+    if type(data["elements"]) not in (list, tuple):
+        raise PosetError("'elements' is not a list of labels")
     # non-cover relations in the input are accepted and reduced
     return Poset.from_covers(data["elements"], data["covers"])

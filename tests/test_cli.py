@@ -382,6 +382,29 @@ def test_bad_covers_named(capsys, tmp_path, elements, covers, message):
         2, "", f"error: {path}: {message}\n")
 
 
+@pytest.mark.parametrize("elements, message", [
+    (5, "'elements' is not a list of labels"),
+    ("abc", "'elements' is not a list of labels"),
+    ({"a": 1}, "'elements' is not a list of labels"),
+    ([[1], 2], "elements[0] is an unhashable label [1]"),
+    (["a", {"b": 1}], "elements[1] is an unhashable label {'b': 1}"),
+    (["a", "a"], "duplicate label 'a'"),
+])
+def test_bad_elements_named(capsys, tmp_path, elements, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"elements": elements, "covers": []}))
+    assert run(capsys, "invert", "--poset", str(path)) == (
+        2, "", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("body", [5, "elements covers", [["a"], []]])
+def test_poset_json_not_an_object(capsys, tmp_path, body):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(body))
+    assert run(capsys, "invert", "--poset", str(path)) == (
+        2, "", f"error: {path}: poset JSON is not an object\n")
+
+
 # The child processes below import mobiuslab from the same place as this
 # test process, installed or not, whatever directory pytest started in.
 def child_env():

@@ -138,11 +138,16 @@ _QUERIES = [
     ("charpoly p4", ["charpoly", "--poset", "@p4"]),
     ("charpoly l32", ["charpoly", "--poset", "@l32"]),
     ("charpoly d60", ["charpoly", "--poset", "@d60"]),
+    ("charpoly p5", ["charpoly", "--poset", "@p5"]),
     ("weisner p4", ["weisner", "--poset", "@p4"]),
     ("weisner l32 one", ["weisner", "--poset", "@l32", "--element",
                          "100"]),
     ("weisner d60", ["weisner", "--poset", "@d60"]),
     ("weisner bowtie", ["weisner", "--poset", "@bowtie"]),
+    ("weisner p5", ["weisner", "--poset", "@p5"]),
+    # at the top element every x < 1 is a witness
+    ("weisner b5 one", ["weisner", "--poset", "@b5", "--element",
+                        "12345"]),
     ("cutset b3", ["cutset", "--poset", "@b3"]),
     ("cutset p4 coatoms", ["cutset", "--poset", "@p4", "--cutset",
                            "0001,0010,0100,0111,0011,0101,0110"]),

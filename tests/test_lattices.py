@@ -6,7 +6,8 @@ import pytest
 
 from mobiuslab import lattices
 from mobiuslab.instances import (boolean_lattice, chain, complete_graph,
-                                 contraction_lattice, divisor_lattice,
+                                 contraction_lattice, cycle_graph,
+                                 divisor_lattice,
                                  partition_lattice, subspace_lattice)
 from mobiuslab.lattices import Lattice, LatticeError, NotRankedError
 from mobiuslab.posets import Poset
@@ -125,16 +126,85 @@ def test_weisner():
         lattices.weisner_check(boolean_lattice(2), [0])
 
 
-def test_weisner_reports_follow_the_element_list():
+def test_weisner_reports_follow_the_element_list(monkeypatch):
     L = boolean_lattice(3)
     P = L.poset
-    elements = [P.idx(lab) for lab in ("123", "1", "12")]
+    elements = [P.idx(lab) for lab in ("123", "1", "12", "3")]
     reports = lattices.weisner_check(L, elements)
-    assert [set(r["witnesses"]) for r in reports] == [
-        set(P.labels) - {"123"}, {"23"}, {"3", "13", "23"}]
-    assert all(r["lhs"] == r["rhs"] == -1 for r in reports)
+    assert [r["witness_count"] for r in reports] == [7, 1, 3, 1]
+    assert all(r["lhs"] == r["rhs"] == -1 and r["pass"] for r in reports)
+    # the witness labels are decoded only for a failing report
+    assert not any("witnesses" in r for r in reports)
     with pytest.raises(LatticeError):
         lattices.weisner_check(L, [P.idx("1"), L.zero])
+    # a wrong mu(0, 23) fails every a whose witnesses hold 23: not a = 3,
+    # whose only witness is 12
+    row = P.mobius_row(L.zero)
+    row[P.idx("23")] += 1
+    monkeypatch.setattr(P, "mobius_row", lambda a: list(row))
+    reports = lattices.weisner_check(L, elements)
+    assert [(r["lhs"], r["rhs"], r["pass"]) for r in reports] == [
+        (-1, -2, False), (-1, -2, False), (-1, -2, False), (-1, -1, True)]
+    assert [r.get("witnesses") for r in reports] == [
+        ["", "1", "2", "12", "3", "13", "23"], ["23"], ["3", "13", "23"],
+        None]
+    assert [r["witness_count"] for r in reports] == [7, 1, 3, 1]
+
+
+WEISNER_LATTICES = {
+    "B_4": lambda: boolean_lattice(4),
+    "Pi_5": lambda: partition_lattice(5),
+    "L_3(2)": lambda: subspace_lattice(2, 3),
+    "D_60": lambda: divisor_lattice(60),
+    "K_4": lambda: contraction_lattice(complete_graph(4)),
+    "C_5": lambda: contraction_lattice(cycle_graph(5)),
+}
+
+
+def joins_to_one(L, a):
+    """The x < 1 with x v a = 1 by the definition of the join: 1 is the
+    only common upper bound of x and a."""
+    up = L.poset.up
+    return [x for x in range(L.n)
+            if x != L.one and up[x] & up[a] == 1 << L.one]
+
+
+@pytest.mark.parametrize("name", WEISNER_LATTICES)
+def test_weisner_against_the_join_definition(name):
+    L = WEISNER_LATTICES[name]()
+    mu0 = L.poset.mobius_row(L.zero)
+    elements = [a for a in range(L.n) if a != L.zero]
+    reports = lattices.weisner_check(L, elements)
+    for a, r in zip(elements, reports):
+        witnesses = joins_to_one(L, a)
+        assert r["rhs"] == -sum(mu0[x] for x in witnesses) == mu0[L.one]
+        assert r["witness_count"] == len(witnesses)
+
+
+@pytest.mark.parametrize("name", WEISNER_LATTICES)
+def test_weisner_count_needs_every_coatom_above_a(name):
+    # The coatom sum with one coatom h >= a left out of the union.  Its rhs
+    # stays right: the x it adds are those whose join with a is some y
+    # below h and below no other coatom, and Weisner's lemma on [0, y]
+    # makes the sum over each such y zero.  Only the witness count,
+    # checked against the join definition, catches it.
+    L = WEISNER_LATTICES[name]()
+    up, down = L.poset.up, L.poset.down
+    mu0 = L.poset.mobius_row(L.zero)
+    coatoms = L.coatoms()
+    for h in coatoms:
+        wrong_counts = 0
+        for a in range(L.n):
+            if a == L.zero or not up[a] >> h & 1:
+                continue
+            union = 0
+            for g in coatoms:
+                if g != h and up[a] >> g & 1:
+                    union |= down[g]
+            witness = ((1 << L.n) - 1 ^ 1 << L.one) & ~union
+            assert -sum(mu0[x] for x in bits(witness)) == mu0[L.one]
+            wrong_counts += witness.bit_count() != len(joins_to_one(L, a))
+        assert wrong_counts
 
 
 def test_edited_results_do_not_change_later_answers():

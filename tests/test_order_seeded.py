@@ -1,16 +1,22 @@
 """Seeded checks of the order kernel in Poset._from_arcs and of the Mobius
-matrix, against the oracles in order_oracles.py.  Unlike
-test_order_kernel.py they need no hypothesis, and they reach the dense
-regime: random DAGs up to 300 elements at densities 0.05 and 0.3, with
-shuffled labels and repeated and transitively implied arcs.
+rows, columns, entries and matrix, against the oracles in
+order_oracles.py.  Unlike test_order_kernel.py they need no hypothesis,
+and they reach the dense regime: random DAGs up to 300 elements at
+densities 0.05 and 0.3, with shuffled labels and repeated and
+transitively implied arcs, plus lattices and an ordinal sum whose rows
+have many distinct values.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
 from order_oracles import bits, build, mobius_rows, smallest_ready_order
 
+from mobiuslab.instances import (boolean_lattice, contraction_lattice,
+                                 cycle_graph, divisor_lattice,
+                                 partition_lattice, subspace_lattice)
 from mobiuslab.posets import Poset
 
 
@@ -79,3 +85,99 @@ def test_mobius_matrix_keeps_nothing_between_calls():
         assert set(vars(P)) == attrs
         for row in M:
             row[-1] += 99
+
+
+def ordinal_sum(sizes):
+    """A bottom element below antichains of the given sizes, each level
+    wholly below the next.  mu(0, x) at level i is
+    -prod_{j < i} (1 - k_j), so with every k_j >= 3 row 0 holds one
+    distinct value per level."""
+    labels, levels = ["0"], [["0"]]
+    for i, k in enumerate(sizes):
+        levels.append([f"{i}.{t}" for t in range(k)])
+        labels += levels[-1]
+    covers = [(lo, hi) for below, above in zip(levels, levels[1:])
+              for lo in below for hi in above]
+    return Poset.from_covers(labels, covers)
+
+
+LEVELS = [3, 5, 3, 4, 7, 3, 6, 3, 4, 5, 3]
+STRUCTURED = {
+    "Pi_6": lambda: partition_lattice(6).poset,
+    "B_7": lambda: boolean_lattice(7).poset,
+    "L_3(3)": lambda: subspace_lattice(3, 3).poset,
+    "D_55440": lambda: divisor_lattice(55440).poset,
+    "C_6 contraction": lambda: contraction_lattice(cycle_graph(6)).poset,
+    "ordinal sum": lambda: ordinal_sum(LEVELS),
+}
+
+
+@pytest.mark.parametrize("name", STRUCTURED)
+def test_rows_and_columns_on_structured_posets(name):
+    P = STRUCTURED[name]()
+    n = P.n
+    up = [frozenset(bits(m)) for m in P.up]
+    down = [frozenset(bits(m)) for m in P.down]
+    M = P.mobius_matrix()
+    assert [P.mobius_row(a) for a in range(n)] == M
+    assert [P.mobius_col(b) for b in range(n)] == [list(c) for c in zip(*M)]
+    rows = random.Random(n).sample(range(n), min(n, 12)) + [0]
+    want = mobius_rows(n, up, down, rows)
+    assert [M[a] for a in rows] == [want[a] for a in rows]
+
+
+def test_ordinal_sum_row_has_one_value_class_per_level():
+    row = ordinal_sum(LEVELS).mobius_row(0)
+    assert len(set(row)) == len(LEVELS) + 1
+    want, total = [1], 1
+    for k in LEVELS:
+        want += [-total] * k
+        total -= k * total
+    assert row == want
+
+
+@pytest.mark.parametrize("n, density", CASES)
+def test_mobius_idx_on_random_posets(n, density):
+    labels, arcs = random_dag(n, density, seed=n + 2)
+    P = Poset.from_covers(labels, arcs)
+    seen = check_mobius_idx(P, random.Random(n))
+    if n >= 30:
+        assert seen["strict part"] and seen["reversed"]
+        assert seen["incomparable"]
+
+
+@pytest.mark.parametrize("name", STRUCTURED)
+def test_mobius_idx_on_structured_posets(name):
+    P = STRUCTURED[name]()
+    seen = check_mobius_idx(P, random.Random(P.n))
+    assert seen["strict part"] and seen["reversed"]
+    assert seen["incomparable"]
+
+
+def check_mobius_idx(P, rng):
+    """1 on the diagonal, 0 on incomparable and reversed pairs, and the
+    row entry on comparable pairs, among them pairs whose interval is a
+    strict part of the up-set, so that the walk over the interval alone
+    is what is checked."""
+    n = P.n
+    rows = range(n) if n <= 30 else rng.sample(range(n), 10)
+    seen = Counter()
+    for a in rows:
+        row = P.mobius_row(a)
+        for b in range(n):
+            got = P.mobius_idx(a, b)
+            if a == b:
+                kind = "diagonal"
+                assert got == 1
+            elif P.down[a] >> b & 1:
+                kind = "reversed"
+                assert got == 0
+            elif not P.up[a] >> b & 1:
+                kind = "incomparable"
+                assert got == 0
+            else:
+                kind = ("strict part" if P.up[a] & P.down[b] != P.up[a]
+                        else "whole up-set")
+                assert got == row[b]
+            seen[kind] += 1
+    return seen
