@@ -3,6 +3,7 @@ graph contraction lattices, chains, and seeded random posets, trees and
 graphs."""
 
 import random
+from bisect import bisect_left
 from itertools import combinations
 
 from .guards import TREE_VERTICES, check_size
@@ -66,16 +67,10 @@ def boolean_lattice(n):
     check_size("boolean_lattice", n, 16)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    labels = []
-    for mask in range(1 << n):
-        labels.append("".join(_ALPHABET[i] for i in range(n)
-                              if mask >> i & 1))
-    pos = {lab: i for i, lab in enumerate(labels)}
-    arcs = []
-    for mask in range(1 << n):
-        for i in range(n):
-            if not mask >> i & 1:
-                arcs.append((pos[labels[mask]], pos[labels[mask | 1 << i]]))
+    labels = ["".join(_ALPHABET[i] for i in range(n) if mask >> i & 1)
+              for mask in range(1 << n)]
+    arcs = [(mask, mask | 1 << i) for mask in range(1 << n)
+            for i in range(n) if not mask >> i & 1]
     return Lattice(Poset._from_arcs(labels, arcs))
 
 
@@ -91,15 +86,40 @@ def chain(n):
 
 
 def divisor_lattice(n):
-    """Divisors of n ordered by divisibility."""
+    """Divisors of n ordered by divisibility.  n is factored by trial
+    division up to its square root, and the covers are d -> d * p for the
+    primes p with d * p dividing n."""
     if n < 1:
         raise ValueError("n must be positive")
     check_size("divisor_lattice", n, 10 ** 6)
-    divs = sorted(d for d in range(1, n + 1) if n % d == 0)
+    exponents, m, p = {}, n, 2
+    while p * p <= m:
+        while m % p == 0:
+            exponents[p] = exponents.get(p, 0) + 1
+            m //= p
+        p += 1
+    if m > 1:
+        exponents[m] = 1
+    divs = [1]
+    for p, k in exponents.items():
+        divs = [d * p ** e for d in divs for e in range(k + 1)]
+    divs.sort()
     pos = {d: i for i, d in enumerate(divs)}
-    arcs = [(pos[a], pos[b]) for a in divs for b in divs
-            if b != a and b % a == 0]
+    arcs = [(pos[d], pos[d * p]) for d in divs for p in exponents
+            if n % (d * p) == 0]
     return Lattice(Poset._from_arcs(divs, arcs))
+
+
+def _sorted_poset(keys, labels, arcs):
+    """Poset of elements found in any order, given the sort key and label
+    of each and the arcs between their indices as found.  The elements
+    are renumbered in key order, which fixes the linear extension."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    pos = [0] * len(order)
+    for k, i in enumerate(order):
+        pos[i] = k
+    return Poset._from_arcs([labels[i] for i in order],
+                            [(pos[i], pos[j]) for i, j in arcs])
 
 
 # -- subspace lattices over small fields ---------------------------------
@@ -132,118 +152,106 @@ def gaussian_binomial(n, k, q):
 
 def subspace_lattice(q, n):
     """Subspaces of GF(q)^n ordered by containment, labeled by canonical
-    reduced-row-echelon bases."""
+    reduced-row-echelon bases.
+
+    A vector is its int code in base q, first coordinate most
+    significant, so code order is tuple order.  A subspace is a mask over
+    the q^n codes.  Its upper covers are the spans of it and one more
+    vector v, and each is spanned once: a v inside a span already found
+    from the same subspace would give that span again."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     F = _Field(q)
     total = sum(gaussian_binomial(n, k, q) for k in range(n + 1))
     check_size("subspace_lattice", total, 10 ** 5)
-    vectors = []
 
-    def build(prefix):
-        if len(prefix) == n:
-            vectors.append(tuple(prefix))
-            return
-        for c in range(q):
-            build(prefix + [c])
+    def digits(code, width):
+        return [code // q ** (width - 1 - i) % q for i in range(width)]
 
-    build([])
-    zero = tuple([0] * n)
+    def code_of(digs):
+        code = 0
+        for x in digs:
+            code = code * q + x
+        return code
 
-    def _span(vecs):
-        out = {zero}
-        for v in vecs:
-            if v in out:
-                continue
-            add = []
-            for c in range(1, q):
-                cv = tuple(F.mul(c, x) for x in v)
-                for s in out:
-                    add.append(tuple(F.add(a, b) for a, b in zip(cv, s)))
-            out.update(add)
-        return frozenset(out)
+    # u + v = high[u // low][v // low] + lows[u % low][v % low]: two
+    # tables over half the coordinates each, not one over all q^(2n) pairs
+    def add_table(width, scale):
+        vecs = [digits(c, width) for c in range(q ** width)]
+        return [[scale * code_of(map(F.add, a, b)) for b in vecs]
+                for a in vecs]
 
-    subspaces = {frozenset([zero])}
-    frontier = [frozenset([zero])]
-    while frontier:
-        S = frontier.pop()
-        for v in vectors:
-            if v in S:
-                continue
-            T = _span(list(S) + [v])
-            if T not in subspaces:
-                subspaces.add(T)
-                frontier.append(T)
-    if len(subspaces) != total:
-        raise ArithmeticError(f"found {len(subspaces)} subspaces of "
+    low = q ** (n // 2)
+    high, lows = add_table(n - n // 2, low), add_table(n // 2, 1)
+    size = q ** n
+    # the nonzero multiples c * v of each vector v
+    multiples = [[code_of(F.mul(c, x) for x in digits(v, n))
+                  for c in range(1, q)] for v in range(size)]
+
+    every = (1 << size) - 1
+    masks, spaces, arcs = [1], [[0]], []
+    index = {1: 0}
+    for i, S in enumerate(spaces):  # spaces grows as spans are found
+        free = every & ~masks[i]
+        while free:
+            v = (free & -free).bit_length() - 1
+            T = list(S)
+            for w in multiples[v]:
+                hw, lw = high[w // low], lows[w % low]
+                T += [hw[s // low] + lw[s % low] for s in S]
+            mask = 0
+            for t in T:
+                mask |= 1 << t
+            free &= ~mask
+            j = index.get(mask)
+            if j is None:
+                j = index[mask] = len(spaces)
+                masks.append(mask)
+                T.sort()
+                spaces.append(T)
+            arcs.append((i, j))
+    if len(spaces) != total:
+        raise ArithmeticError(f"found {len(spaces)} subspaces of "
                               f"GF({q})^{n}, expected {total}")
 
     def rref_label(S):
-        """Canonical reduced-row-echelon basis of the subspace, read off
-        the set itself: the pivot rows are the monic vectors that are
-        zero in every earlier pivot column, fully reduced (lex-least)."""
-        nonzero = sorted(v for v in S if v != zero)
+        """Canonical reduced-row-echelon basis of the subspace, a sorted
+        list of codes.  The row with its pivot in column c is the
+        lex-least vector of S that is 0 before c and 1 at c, which is
+        fully reduced: the least code of S in [q^(n-1-c), 2 q^(n-1-c))."""
         rows = []
-        pivots = []
         for col in range(n):
-            cands = []
-            for v in nonzero:
-                if v[col] == 0 or any(v[c] != 0 for c in pivots):
-                    continue
-                inv = next(c for c in range(1, q) if F.mul(c, v[col]) == 1)
-                cands.append(tuple(F.mul(inv, x) for x in v))
-            if cands:
-                pivots.append(col)
-                rows.append(min(cands))
-        return ",".join("".join(map(str, v)) for v in rows)
+            lead = q ** (n - 1 - col)
+            k = bisect_left(S, lead)
+            if k < len(S) and S[k] < 2 * lead:
+                rows.append("".join(map(str, digits(S[k], n))))
+        return ",".join(rows)
 
-    subspaces = sorted(subspaces, key=lambda S: (len(S), sorted(S)))
-    labels = [rref_label(S) for S in subspaces]
+    labels = [rref_label(S) for S in spaces]
     if len(set(labels)) != total:
         raise ArithmeticError("two subspaces share a row-echelon label")
-    arcs = []
-    for i, S in enumerate(subspaces):
-        for j, T in enumerate(subspaces):
-            if i != j and S < T:
-                arcs.append((i, j))
-    return Lattice(Poset._from_arcs(labels, arcs))
+    keys = [(len(S), S) for S in spaces]
+    return Lattice(_sorted_poset(keys, labels, arcs))
 
 
 # -- partition and contraction lattices ----------------------------------
+#
+# A partition of {0..n-1} is a tuple of block masks ordered by least
+# element, so block k holds the points whose restricted-growth (RGS) digit
+# is k.  Merging blocks a < b keeps that order.
 
-def _rgs(blocks, n):
-    """Restricted-growth string of a partition given as an iterable of
-    iterables of 0-based points."""
-    owner = [None] * n
-    for b, cell in enumerate(blocks):
-        for x in cell:
-            owner[x] = b
-    relabel = {}
-    out = []
-    for x in range(n):
-        if owner[x] not in relabel:
-            relabel[owner[x]] = len(relabel)
-        out.append(relabel[owner[x]])
-    return "".join(str(d) for d in out)
+def _merge(p, a, b):
+    return p[:a] + (p[a] | p[b],) + p[a + 1:b] + p[b + 1:]
 
 
-def _all_partitions(n):
-    """Yield every set partition of {0..n-1} as a tuple of sorted
-    tuples."""
-
-    def rec(x, blocks):
-        if x == n:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for i in range(len(blocks)):
-            blocks[i].append(x)
-            yield from rec(x + 1, blocks)
-            blocks[i].pop()
-        blocks.append([x])
-        yield from rec(x + 1, blocks)
-        blocks.pop()
-
-    return rec(0, [])
+def _rgs_digits(p, n):
+    out = [0] * n
+    for k, block in enumerate(p):
+        while block:
+            low = block & -block
+            out[low.bit_length() - 1] = k
+            block ^= low
+    return tuple(out)
 
 
 def _bell(n, limit):
@@ -261,63 +269,74 @@ def _bell(n, limit):
     return row[0]
 
 
-def _partition_poset(partitions, n):
-    """Poset of the given partitions under refinement, with RGS labels
-    and cover arcs from block merges that stay inside the family."""
-    labels = [_rgs(p, n) for p in partitions]
-    pos = {lab: i for i, lab in enumerate(labels)}
-    arcs = []
-    for p in partitions:
-        lab = _rgs(p, n)
-        for i, j in combinations(range(len(p)), 2):
-            merged = [list(b) for k, b in enumerate(p) if k not in (i, j)]
-            merged.append(sorted(p[i] + p[j]))
-            target = _rgs(merged, n)
-            if target in pos:
-                arcs.append((pos[lab], pos[target]))
-    return Poset._from_arcs(labels, arcs)
-
-
 def partition_lattice(n):
     """Partitions of an n-set under refinement; 0 is the discrete
-    partition and 1 the single block."""
+    partition and 1 the single block.  Labels are RGS strings."""
     if n < 1:
         raise ValueError("n must be positive")
     check_size("partition_lattice", n, 9)
-    return Lattice(_partition_poset(list(_all_partitions(n)), n))
+    parts = []
+
+    def rec(x, blocks):
+        # lexicographic RGS order: x joins each block, then opens a new one
+        if x == n:
+            parts.append(tuple(blocks))
+            return
+        bit = 1 << x
+        for k in range(len(blocks)):
+            blocks[k] |= bit
+            rec(x + 1, blocks)
+            blocks[k] ^= bit
+        blocks.append(bit)
+        rec(x + 1, blocks)
+        blocks.pop()
+
+    rec(0, [])
+    index = {p: i for i, p in enumerate(parts)}
+    arcs = [(i, index[_merge(p, a, b)]) for i, p in enumerate(parts)
+            for a, b in combinations(range(len(p)), 2)]
+    labels = ["".join(map(str, _rgs_digits(p, n))) for p in parts]
+    return Lattice(Poset._from_arcs(labels, arcs))
 
 
 def contraction_lattice(G):
     """Partitions of the vertex set whose every cell induces a connected
-    subgraph, under refinement."""
-    # every partition of the vertices is enumerated, and only those with
-    # connected cells are kept: Bell(12) = 4213597 passes this guard,
-    # Bell(13) = 27644437 does not
+    subgraph, under refinement: the flats of the graphic matroid.  They
+    are grown from the discrete partition by merging two blocks that an
+    edge joins, so the cost follows the number of flats."""
+    # the Bell(n) bound keeps the refusal of 13 or more vertices instant;
+    # growth stops at the first flat past the kept limit
     enumerated, kept = 5 * 10 ** 6, 10 ** 5
     check_size("contraction_lattice", _bell(G.n, enumerated), enumerated)
-    adj = G.adjacency()
-
-    def connected_cell(cell):
-        cell = set(cell)
-        start = next(iter(cell))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()] & cell:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen == cell
-
-    partitions = []
-    count = 0
-    for p in _all_partitions(G.n):
-        if all(connected_cell(c) for c in p):
-            count += 1
-            if count <= kept:
-                partitions.append(p)
-    check_size("contraction_lattice", count, kept)
-    return Lattice(_partition_poset(partitions, G.n))
+    adj = [0] * G.n
+    for v, nbrs in enumerate(G.adjacency()):
+        for w in nbrs:
+            adj[v] |= 1 << w
+    # reach[block] = the vertices adjacent to some vertex of the block
+    reach = [0] * (1 << G.n)
+    for block in range(1, 1 << G.n):
+        low = block & -block
+        reach[block] = reach[block ^ low] | adj[low.bit_length() - 1]
+    parts = [tuple(1 << v for v in range(G.n))]
+    index = {parts[0]: 0}
+    arcs = []
+    for i, p in enumerate(parts):  # parts grows as merges are found
+        for a in range(len(p)):
+            near = reach[p[a]]
+            for b in range(a + 1, len(p)):
+                if near & p[b]:
+                    m = _merge(p, a, b)
+                    j = index.get(m)
+                    if j is None:
+                        j = index[m] = len(parts)
+                        parts.append(m)
+                        check_size("contraction_lattice", len(parts), kept)
+                    arcs.append((i, j))
+    # sort by digit tuples, not labels: from 11 vertices on, "10" is one
+    # digit
+    keys = [_rgs_digits(p, G.n) for p in parts]
+    labels = ["".join(map(str, d)) for d in keys]
+    return Lattice(_sorted_poset(keys, labels, arcs))
 
 
 # -- random instances ----------------------------------------------------

@@ -536,6 +536,19 @@ def test_gen_refuses_before_enumerating(capsys, tmp_path, monkeypatch,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_gen_contraction_refuses_past_kept_flats(capsys, tmp_path,
+                                                 monkeypatch):
+    # K_12 passes the Bell(12) pre-guard; its growth stops at the first
+    # flat past 10^5
+    monkeypatch.chdir(tmp_path)
+    Path("k12.txt").write_text("".join(f"{u} {v}\n" for u in range(12)
+                                       for v in range(u + 1, 12)))
+    code, out, err = run(capsys, "gen", "--family", "contraction",
+                         "--graph", "k12.txt")
+    assert (code, out, err) == (2, "", "error: contraction_lattice: "
+                                "estimated size 100001 exceeds limit 100000\n")
+
+
 def test_verify_all_reports_tree_failure(capsys, monkeypatch):
     right = treedist.scaled_distance_inverse
 

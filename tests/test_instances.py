@@ -1,12 +1,18 @@
+import random
+from itertools import combinations
+
 import pytest
 
+import family_oracles as oracle
 from mobiuslab import lattices
 from mobiuslab.guards import SizeGuardError
 from mobiuslab.instances import (Graph, boolean_lattice, chain,
                                  complete_graph, contraction_lattice,
-                                 divisor_lattice, gaussian_binomial,
-                                 partition_lattice, random_graph,
-                                 random_poset, random_tree, subspace_lattice)
+                                 cycle_graph, divisor_lattice,
+                                 gaussian_binomial, partition_lattice,
+                                 random_graph, random_poset, random_tree,
+                                 subspace_lattice)
+from mobiuslab.matroid import chromatic_polynomial, poly_eval
 
 
 def path_graph(n):
@@ -137,3 +143,99 @@ def test_negative_sizes_rejected():
         random_graph(-2, 0, 0)
     assert subspace_lattice(2, 0).n == 1
     assert random_graph(0, 0, 0).edges == []
+
+
+# -- the generators against their enumerate-and-filter oracles -----------
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_partition_lattice_matches_oracle(n):
+    assert oracle.same_order(partition_lattice(n).poset,
+                             oracle.partition_lattice(n))
+
+
+def all_graphs(n):
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield Graph(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
+
+
+def test_contraction_lattice_matches_oracle_on_every_small_graph():
+    # 1 + 1 + 2 + 8 + 64 + 1024 labeled graphs on 0..5 vertices
+    for n in range(6):
+        for G in all_graphs(n):
+            assert oracle.same_order(contraction_lattice(G).poset,
+                                     oracle.contraction_lattice(G)), G
+
+
+def seeded_graphs():
+    rng = random.Random(17)
+    for n in (6, 7, 8, 9):
+        pairs = list(combinations(range(n), 2))
+        for _ in range(2):
+            yield Graph(n, rng.sample(pairs, rng.randrange(len(pairs) + 1)))
+    for n in range(3, 10):
+        yield cycle_graph(n)
+    # isolated vertices, and no vertex at all
+    yield Graph(7, [(0, 1), (1, 2), (2, 0), (4, 5)])
+    yield Graph(6, [])
+    yield Graph(0, [])
+
+
+@pytest.mark.parametrize("G", seeded_graphs(),
+                         ids=lambda G: f"{G.n}v{len(G.edges)}e")
+def test_contraction_lattice_matches_oracle(G):
+    assert oracle.same_order(contraction_lattice(G).poset,
+                             oracle.contraction_lattice(G))
+
+
+class EdgeBlindGraph(Graph):
+    """Reports every other vertex as a neighbour, so a merge of any two
+    blocks passes the edge test."""
+
+    def adjacency(self):
+        return [set(range(self.n)) - {v} for v in range(self.n)]
+
+
+def test_oracle_catches_merge_without_edge():
+    # the oracle reads the edges themselves: a generator that merges
+    # blocks no edge joins builds Pi_5, not the lattice of C_5
+    G = EdgeBlindGraph(5, cycle_graph(5).edges)
+    assert contraction_lattice(G).n == 52
+    assert not oracle.same_order(contraction_lattice(G).poset,
+                                 oracle.contraction_lattice(G))
+
+
+@pytest.mark.parametrize("q, n", [(q, n) for q in (2, 3, 4, 5)
+                                  for n in range(4)] + [(2, 4)])
+def test_subspace_lattice_matches_oracle(q, n):
+    assert oracle.same_order(subspace_lattice(q, n).poset,
+                             oracle.subspace_lattice(q, n))
+
+
+@pytest.mark.parametrize("m", [12, 36, 60, 210, 360, 2310, 5040, 55440,
+                               1, 9973])
+def test_divisor_lattice_matches_oracle(m):
+    # the divisors the benchmark generates, 1, and a prime
+    assert oracle.same_order(divisor_lattice(m).poset,
+                             oracle.divisor_lattice(m))
+
+
+# -- closed forms at the sizes the oracles cannot reach ------------------
+
+@pytest.mark.parametrize("q, n", [(3, 4), (2, 6)])
+def test_subspace_lattice_closed_forms(q, n):
+    # W_k = [n choose k]_q and mu(0, 1) = (-1)^n q^C(n, 2)
+    L = subspace_lattice(q, n)
+    assert lattices.whitney_numbers(L) == [gaussian_binomial(n, k, q)
+                                           for k in range(n + 1)]
+    assert L.poset.mobius_idx(L.zero, L.one) == \
+        (-1) ** n * q ** (n * (n - 1) // 2)
+
+
+def test_chromatic_polynomial_of_cycle_11():
+    # P(C_n, x) = (x - 1)^n + (-1)^n (x - 1)
+    n = 11
+    poly = chromatic_polynomial(cycle_graph(n))
+    for x in range(-3, 8):
+        assert poly_eval(poly, x) == (x - 1) ** n + (-1) ** n * (x - 1)
+    assert len(poly) == n + 1
