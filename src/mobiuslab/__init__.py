@@ -2,9 +2,10 @@
 matrices, lattice identities, matroid polynomials, tree distance
 matrices, and support bounds for null designs."""
 
-from .complexes import (MonotoneMap, dismantle, euler_characteristic,
-                        is_dismantlable, order_complex, retract_check,
-                        verify_baclawski, verify_ideal_decomposition)
+from .complexes import (MonotoneMap, chain_counts, dismantle,
+                        euler_characteristic, is_dismantlable, order_complex,
+                        retract_check, verify_baclawski,
+                        verify_ideal_decomposition)
 from .guards import SizeGuardError, check_size
 from .instances import (Graph, boolean_lattice, chain, complete_graph,
                         contraction_lattice, cycle_graph, divisor_lattice,
@@ -14,8 +15,8 @@ from .instances import (Graph, boolean_lattice, chain, complete_graph,
 from .inversion import (derangements, derangements_bruteforce, forward_down,
                         forward_up, invert_down, invert_up,
                         lindstrom_wilf_det)
-from .lattices import (Lattice, LatticeError, NotRankedError,
-                       basterfield_kelly_check, cutset_mobius,
+from .lattices import (Lattice, LatticeError, MeetSemilattice,
+                       NotRankedError, basterfield_kelly_check, cutset_mobius,
                        dowling_complement_check, dowling_wilson_check,
                        is_geometric, is_lower_semimodular,
                        is_modular_element, is_modular_lattice,
@@ -27,8 +28,8 @@ from .matroid import (AtomMatroid, broken_circuits, characteristic_polynomial,
                       codeword_weight_check, coloring_count, independents,
                       nbc_counts, stirling_first_unsigned,
                       whitney_theorem_check)
-from .nulldesigns import (MeetSemilattice, restrict_to_interval, strength,
-                          support_lower_bound, verify_support_theorem)
+from .nulldesigns import (restrict_to_interval, strength, support_lower_bound,
+                          verify_support_theorem)
 from .posets import Poset, PosetError, poset_from_json, poset_to_json
 from .treedist import RootedTree, distance_matrix, tree_zeta, verify_tree
 

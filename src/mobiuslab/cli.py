@@ -17,7 +17,7 @@ import sys
 from . import complexes, instances, inversion, lattices, matroid
 from . import nulldesigns, treedist
 from .exactmat import identity, mat_mul
-from .lattices import Lattice, LatticeError
+from .lattices import Lattice, LatticeError, MeetSemilattice
 from .posets import (Poset, PosetError, _bits, poset_from_json,
                      poset_to_json)
 
@@ -82,7 +82,15 @@ def _load_graph(path):
 def _load_tree(path):
     obj = _load_json(path)
     try:
-        return treedist.RootedTree(obj["n"], obj["root"], obj["parent"])
+        n, root, parent = obj["n"], obj["root"], obj["parent"]
+        # JSON true and false would pass as the integers 1 and 0
+        fields = [("'n'", n), ("'root'", root)] + [
+            (f"parent[{v}]", p) for v, p in enumerate(
+                parent if type(parent) is list else ()) if p is not None]
+        for field, value in fields:
+            if type(value) is not int:
+                raise InputError(f"{path}: {field} is not an integer")
+        return treedist.RootedTree(n, root, parent)
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"{path}: {e}")
 
@@ -96,7 +104,7 @@ def _load_function(P, path):
     for key, v in obj.items():
         if key not in by_str:
             raise InputError(f"{path}: unknown label {key!r}")
-        if not isinstance(v, int):
+        if type(v) is not int:
             raise InputError(f"{path}: value for {key!r} is not an integer")
         values[by_str[key]] = v
     return values
@@ -201,9 +209,7 @@ def cmd_invert(args, P):
 
 def cmd_chains(args, P):
     a, b = _resolve(P, getattr(args, "from"), args.to)
-    by_length = {}
-    for c in P.chains_between(a, b):
-        by_length[len(c) - 1] = by_length.get(len(c) - 1, 0) + 1
+    by_length = complexes.chain_counts(P, a, b)
     chain_mu = sum((-1) ** l * k for l, k in by_length.items())
     matrix_mu = P.mobius_idx(a, b)
     return ({"count": sum(by_length.values()),
@@ -333,7 +339,7 @@ def cmd_tree(args):
 
 def cmd_nulldesign(args, P):
     f = _load_function(P, args.function)
-    S = nulldesigns.MeetSemilattice(P)
+    S = MeetSemilattice(P)
     report = nulldesigns.verify_support_theorem(S, f)
     body = {"strength": report.get("strength"), "support": report["lhs"],
             "bound": report["rhs"], "pass": report["pass"]}
@@ -383,7 +389,8 @@ def _suite(seed):
         for _ in range(10):
             P = random_poset(8)
             M = P.mobius_matrix()
-            if any(P.mobius_by_chains(a, b) != M[a][b]
+            if any(sum((-1) ** l * k for l, k
+                       in complexes.chain_counts(P, a, b).items()) != M[a][b]
                    for a in range(P.n) for b in _bits(P.up[a])):
                 return False
         return True
@@ -518,7 +525,7 @@ def _suite(seed):
     def check_nulldesign():
         P = B3.poset
         f = [(-1) ** len(str(lab)) for lab in P.labels]
-        S = nulldesigns.MeetSemilattice(P)
+        S = MeetSemilattice(P)
         if nulldesigns.strength(S, f) != 2:
             return False
         report = nulldesigns.verify_support_theorem(S, f)

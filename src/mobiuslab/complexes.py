@@ -2,23 +2,51 @@
 plus numerical verification of the fibre and ideal-decomposition
 identities."""
 
+from itertools import zip_longest
+
 from .guards import check_size
-from .posets import PosetError, _bits
+from .posets import PosetError, _bits, _mask
 
 
-def order_complex(P):
-    """Face counts by dimension (the f-vector) of the order complex of P.
-    Its faces are the nonempty chains of P, so f[k] is the number of
-    chains of k + 1 elements, counted by enumerating them."""
-    check_size("order_complex", P.n, 20)
-    f = []
-    for c in P.all_chains():
-        # chains come depth first, so a chain of k + 1 elements follows
-        # one of k elements
-        if len(c) > len(f):
-            f.append(0)
-        f[len(c) - 1] += 1
-    return f
+def order_complex(P, indices=None):
+    """Face counts by dimension (the f-vector) of the order complex of the
+    subposet induced on the given element indices (all of P by default).
+    Its faces are the nonempty chains, so f[k] is the number of chains of
+    k + 1 elements.
+
+    One pass in linear-extension order keeps, for each kept x, the
+    counts by size of the chains that end at x: x alone, and each chain
+    ending at a kept y < x extended by x.  Heights rise strictly along a
+    chain, so the pass takes at most pairs(keep) x (number of heights
+    over keep) steps; that bound is checked before it starts.
+    """
+    keep = _mask(P.n, indices)
+    kept, down = list(_bits(keep)), P.down
+    h = P.heights()
+    heights = [h[x] for x in kept]
+    pairs = sum((down[x] & keep).bit_count() for x in kept)
+    # a step takes 15-50 ns on chains and B_n, 250-400 ns on Pi_8 and
+    # Pi_9 (Python 3.11); Pi_8 is 1.3e6 steps, B_9 2.0e5, Pi_9 1.4e7
+    check_size("order_complex", pairs * (max(heights, default=0)
+                                         - min(heights, default=0) + 1),
+               10 ** 7)
+    ending = {}
+    for x in kept:
+        below = [ending[y] for y in _bits(down[x] & keep ^ 1 << x)]
+        ending[x] = [1, *map(sum, zip_longest(*below, fillvalue=0))]
+    return [*map(sum, zip_longest(*ending.values(), fillvalue=0))]
+
+
+def chain_counts(P, a, b):
+    """The number of chains a = x_0 < ... < x_l = b of each length l, read
+    from the f-vector of the open interval (a, b): a chain with k inner
+    elements has length k + 1."""
+    if not P.up[a] >> b & 1:
+        raise PosetError("endpoints are incomparable")
+    if a == b:
+        return {0: 1}
+    f = order_complex(P, _bits(P.up[a] & P.down[b] ^ 1 << a ^ 1 << b))
+    return {1: 1, **{k + 2: fk for k, fk in enumerate(f)}}
 
 
 def euler_characteristic(P):
@@ -33,10 +61,7 @@ class MonotoneMap:
     def __init__(self, source, target, assignment):
         self.source = source
         self.target = target
-        if isinstance(assignment, dict):
-            self.images = [target.idx(assignment[lab]) for lab in source.labels]
-        else:
-            self.images = [target.idx(lab) for lab in assignment]
+        self.images = [target.idx(lab) for lab in assignment]
         for i, j in source.covers:
             if not target.up[self.images[i]] >> self.images[j] & 1:
                 raise PosetError(

@@ -3,10 +3,10 @@ suite (Weisner, cutsets, complements, modular factorization,
 point/hyperplane counting, Kung's theorem, point deletion)."""
 
 from collections import Counter
+from itertools import combinations
 
 from .exactmat import bareiss_det, int_row_rank, mat_mul, transpose
-from .posets import (PosetError, _bits, _cover_pairs, _covers_have_joins,
-                     _mask_bound)
+from .posets import PosetError, _bits
 
 
 class LatticeError(PosetError):
@@ -17,44 +17,113 @@ class NotRankedError(LatticeError):
     pass
 
 
-class Lattice:
-    """A poset in which every pair has a join and a meet.
+def _mask_bound(sets, i, j, greatest):
+    """Join or meet of elements i and j, or None if it does not exist.
+
+    With up-sets and greatest=False it is the join: the lowest bit of
+    up[i] & up[j], since a least upper bound precedes every other upper
+    bound in the linear extension.  With down-sets and greatest=True it
+    is the meet: the highest bit of down[i] & down[j].  The candidate is
+    the bound iff the whole intersection lies inside its own set.
+    """
+    common = sets[i] & sets[j]
+    top = common if greatest else common & -common
+    best = top.bit_length() - 1
+    return best if common & sets[best] == common else None
+
+
+def _cover_pairs(n, covers):
+    """Each pair x != y of elements that cover a common element, given
+    the cover pairs (c, x); given them reversed, the pairs covered by a
+    common element."""
+    above = [[] for _ in range(n)]
+    for c, x in covers:
+        above[c].append(x)
+    for xs in above:
+        yield from combinations(xs, 2)
+
+
+def _covers_have_joins(P):
+    """True iff every pair of P with a common upper bound has a join, for
+    P with a least element: a lattice if P has a top, else a meet
+    semilattice.  Checking pairs of upper covers of each element suffices
+    (proof in README).  Pairs with no common upper bound pass."""
+    up = P.up
+    return all(not up[x] & up[y] or _mask_bound(up, x, y, False) is not None
+               for x, y in _cover_pairs(P.n, P.covers))
+
+
+def _extremes(sets):
+    """The elements whose set holds only themselves: the minimal ones
+    given the down-sets, the maximal ones given the up-sets."""
+    return [i for i, m in enumerate(sets) if m == 1 << i]
+
+
+class MeetSemilattice:
+    """Poset with a zero element in which every pair has a greatest
+    lower bound, that is, every pair with an upper bound has a join.
 
     Element indices are the underlying poset's (linear-extension order),
-    so index 0 is the zero and index n-1 is the one.  A bounded poset
-    whose pairs all have joins is a lattice.
+    so index 0 is the zero.
     """
 
     def __init__(self, poset):
         self.poset = poset
-        n = poset.n
+        self.n = poset.n
+        if poset.n == 0:
+            raise PosetError("empty poset is not a meet semilattice")
+        minimals = _extremes(poset.down)
+        if len(minimals) != 1:
+            raise PosetError(f"{len(minimals)} minimal elements; a meet "
+                             "semilattice has a unique zero")
+        self.zero = minimals[0]
+        self._check_bounds(poset.down, PosetError, "greatest lower")
+
+    def _check_bounds(self, sets, error, bound):
+        """Raise error unless the scan of upper covers finds every join.
+        The witness is the first pair in index order whose bound, read
+        from sets (down-sets for a meet, up-sets for a join), is
+        missing."""
+        P, n = self.poset, self.n
+        if not _covers_have_joins(P):
+            greatest = sets is P.down
+            i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                        if _mask_bound(sets, i, j, greatest) is None)
+            raise error(f"no {bound} bound for witness pair "
+                        f"({P.labels[i]!r}, {P.labels[j]!r})")
+
+    def meet(self, i, j):
+        return (self.poset.down[i] & self.poset.down[j]).bit_length() - 1
+
+
+class Lattice(MeetSemilattice):
+    """A poset in which every pair has a join and a meet.
+
+    Index 0 is the zero and index n-1 is the one.  A bounded poset whose
+    pairs all have joins is a lattice.
+    """
+
+    def __init__(self, poset):
+        self.poset = poset
+        self.n = n = poset.n
         if n == 0:
             raise LatticeError("empty poset is not a lattice")
-        minimals = [i for i in range(n) if poset.down[i] == 1 << i]
-        maximals = [i for i in range(n) if poset.up[i] == 1 << i]
+        minimals, maximals = _extremes(poset.down), _extremes(poset.up)
         if len(minimals) != 1 or len(maximals) != 1:
             raise LatticeError("poset is not bounded: "
                                f"{len(minimals)} minimal / "
                                f"{len(maximals)} maximal elements")
         self.zero = minimals[0]
         self.one = maximals[0]
-        self.n = n
         self._rank = None
-        if not _covers_have_joins(poset):
-            # the first pair in index order with no join; no earlier pair
-            # lacks a meet, as two maximal lower bounds would lack a join
-            i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
-                        if _mask_bound(poset.up, i, j, False) is None)
-            raise LatticeError("no least upper bound for witness pair "
-                               f"({poset.labels[i]!r}, {poset.labels[j]!r})")
+        # no pair before the first one with no join lacks a meet, as two
+        # maximal lower bounds would lack a join
+        self._check_bounds(poset.up, LatticeError, "least upper")
 
     def join(self, i, j):
         # a join precedes every other upper bound in the linear extension
         common = self.poset.up[i] & self.poset.up[j]
         return (common & -common).bit_length() - 1
-
-    def meet(self, i, j):
-        return (self.poset.down[i] & self.poset.down[j]).bit_length() - 1
 
     def join_set(self, indices):
         common = self.poset.up[self.zero]
@@ -363,6 +432,8 @@ def top_heavy_check(L, k):
     """W_0 + ... + W_k <= W_{d-k} + ... + W_d."""
     W = whitney_numbers(L)
     d = L.height
+    if not 0 <= k <= d:
+        raise LatticeError(f"k must be in 0..{d}")
     lhs = sum(W[:k + 1])
     rhs = sum(W[d - k:])
     return {"identity": "top-heavy partial sums", "lhs": lhs, "rhs": rhs,

@@ -190,11 +190,11 @@ def nbc_counts(M, order=None):
     return counts
 
 
-def whitney_theorem_check(L, order=None):
+def whitney_theorem_check(L):
     """Whitney's theorem: NBC counts equal the signed Whitney sums up to
     the alternating sign."""
     M = AtomMatroid(L)
-    counts = nbc_counts(M, order)
+    counts = nbc_counts(M)
     w = whitney_rank_sums(L)
     expected = [(-1) ** k * w[k] for k in range(len(w))]
     return {"identity": "broken-circuit counting", "lhs": counts,

@@ -2,32 +2,7 @@
 bound on their support."""
 
 from .inversion import _as_values, forward_up
-from .posets import PosetError, _bits, _covers_have_joins, _mask_bound
-
-
-class MeetSemilattice:
-    """Poset with a zero element in which every pair has a greatest
-    lower bound, that is, every pair with an upper bound has a join."""
-
-    def __init__(self, poset):
-        self.poset = poset
-        if poset.n == 0:
-            raise PosetError("empty poset is not a meet semilattice")
-        minimals = [i for i in range(poset.n) if poset.down[i] == 1 << i]
-        if len(minimals) != 1:
-            raise PosetError(f"{len(minimals)} minimal elements; a meet "
-                             "semilattice has a unique zero")
-        self.zero = minimals[0]
-        self.n = poset.n
-        if not _covers_have_joins(poset):
-            n, labels = poset.n, poset.labels
-            i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
-                        if _mask_bound(poset.down, i, j, True) is None)
-            raise PosetError("no greatest lower bound for witness pair "
-                             f"({labels[i]!r}, {labels[j]!r})")
-
-    def meet(self, i, j):
-        return (self.poset.down[i] & self.poset.down[j]).bit_length() - 1
+from .posets import PosetError, _bits
 
 
 def strength(S, f):

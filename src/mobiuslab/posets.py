@@ -7,7 +7,7 @@ by input label order: identical input always yields identical matrices.
 """
 
 from heapq import heappop, heappush
-from itertools import combinations, compress, count
+from itertools import compress, count
 
 
 class PosetError(ValueError):
@@ -53,40 +53,14 @@ def _pull(n, a, walk, sets):
     return vec
 
 
-def _mask_bound(sets, i, j, greatest):
-    """Join or meet of elements i and j, or None if it does not exist.
-
-    With up-sets and greatest=False it is the join: the lowest bit of
-    up[i] & up[j], since a least upper bound precedes every other upper
-    bound in the linear extension.  With down-sets and greatest=True it
-    is the meet: the highest bit of down[i] & down[j].  The candidate is
-    the bound iff the whole intersection lies inside its own set.
-    """
-    common = sets[i] & sets[j]
-    top = common if greatest else common & -common
-    best = top.bit_length() - 1
-    return best if common & sets[best] == common else None
-
-
-def _cover_pairs(n, covers):
-    """Each pair x != y of elements that cover a common element, given
-    the cover pairs (c, x); given them reversed, the pairs covered by a
-    common element."""
-    above = [[] for _ in range(n)]
-    for c, x in covers:
-        above[c].append(x)
-    for xs in above:
-        yield from combinations(xs, 2)
-
-
-def _covers_have_joins(P):
-    """True iff every pair of P with a common upper bound has a join, for
-    P with a least element: a lattice if P has a top, else a meet
-    semilattice.  Checking pairs of upper covers of each element suffices
-    (proof in README).  Pairs with no common upper bound pass."""
-    up = P.up
-    return all(not up[x] & up[y] or _mask_bound(up, x, y, False) is not None
-               for x, y in _cover_pairs(P.n, P.covers))
+def _mask(n, indices):
+    """The bitmask of the given element indices; all n when None."""
+    if indices is None:
+        return (1 << n) - 1
+    keep = 0
+    for i in indices:
+        keep |= 1 << i
+    return keep
 
 
 class Poset:
@@ -302,50 +276,6 @@ class Poset:
         return _pull(self.n, i, _bits(self.up[i] & self.down[j] ^ 1 << i),
                      self.down)[j]
 
-    # -- chains ----------------------------------------------------------
-
-    def chains_between(self, i, j):
-        """Yield all chains (as index lists) with minimal element i and
-        maximal element j.  Brute-force enumeration, no memoization."""
-        up, down_j = self.up, self.down[j]
-        if not up[i] >> j & 1:
-            raise PosetError("endpoints are incomparable")
-
-        def extend(chain):
-            x = chain[-1]
-            if x == j:
-                yield list(chain)
-                return
-            for y in _bits(up[x] & down_j ^ 1 << x):
-                chain.append(y)
-                yield from extend(chain)
-                chain.pop()
-
-        yield from extend([i])
-
-    def mobius_by_chains(self, a, b):
-        """Hall's chain-sum route to mu(a, b); independent of the matrix
-        recursion."""
-        i, j = self.idx(a), self.idx(b)
-        if not self.up[i] >> j & 1:
-            raise PosetError(f"{a!r} is not below {b!r}")
-        return sum((-1) ** (len(c) - 1) for c in self.chains_between(i, j))
-
-    def all_chains(self):
-        """Yield every nonempty chain as a sorted index tuple."""
-        up = self.up
-
-        def extend(chain):
-            yield tuple(chain)
-            x = chain[-1]
-            for y in _bits(up[x] ^ 1 << x):
-                chain.append(y)
-                yield from extend(chain)
-                chain.pop()
-
-        for i in range(self.n):
-            yield from extend([i])
-
     # -- constructions ---------------------------------------------------
 
     def dual(self):
@@ -370,9 +300,7 @@ class Poset:
         """Induced subposet on the given element indices."""
         keep = sorted(set(indices))
         pos = {old: new for new, old in enumerate(keep)}
-        mask = 0
-        for i in keep:
-            mask |= 1 << i
+        mask = _mask(self.n, keep)
         labels = [self.labels[i] for i in keep]
         arcs = [(pos[i], pos[j]) for i in keep
                 for j in _bits(self.up[i] & mask ^ 1 << i)]
@@ -388,27 +316,14 @@ class Poset:
         """mu(0^, 1^) of the subposet induced on the given element indices
         (all of P by default) with a fresh bottom and top adjoined.
 
-        One push over the parent's masks, building no poset: the induced
-        order is up[x] & keep, and the linear extension restricted to keep
-        is one of it.  Every mu(0^, x) starts at -1, the 0^ term, and is
-        final once x is reached; mu(0^, 1^) = -(1 + sum_x mu(0^, x)).
+        One pull over the parent's masks, building no poset: bit n stands
+        for 0^ and is set in every down-set, the walk is the linear
+        extension restricted to the kept elements (one of the induced
+        order), and mu(0^, 1^) = -(sum of mu(0^, x) over 0^ and the kept x).
         """
-        if indices is None:
-            keep = (1 << self.n) - 1
-        else:
-            keep = 0
-            for i in indices:
-                keep |= 1 << i
-        up = self.up
-        mu = [-1] * self.n
-        total = 0
-        for x in _bits(keep):
-            v = mu[x]
-            if v:
-                total += v
-                for y in _bits(up[x] & keep ^ 1 << x):
-                    mu[y] -= v
-        return -1 - total
+        n = self.n
+        return -sum(_pull(n + 1, n, _bits(_mask(n, indices)),
+                          [d | 1 << n for d in self.down]))
 
     def is_isomorphic_brute(self, other):
         """Order-isomorphism test by backtracking search (small posets)."""

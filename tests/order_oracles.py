@@ -1,7 +1,8 @@
 """Oracles for the order kernel that share no code with it: reachability
 by depth-first search, Kahn's order by a linear scan for the smallest
-ready index, Mobius rows by back-substitution over frozensets, and Hall's
-chain sums.  Imported by test_order_kernel.py and test_order_seeded.py.
+ready index, Mobius rows by back-substitution over frozensets, Hall's
+chain sums, and chain counts by listing every chain.  Imported by
+test_order_kernel.py, test_order_seeded.py and test_complexes.py.
 """
 
 from mobiuslab.posets import Poset
@@ -70,6 +71,43 @@ def chain_sum(up, a, b):
     if a == b:
         return 1
     return -sum(chain_sum(up, x, b) for x in up[a] if x != a and b in up[x])
+
+
+def chain_f_vector(up, keep):
+    """f[k] = number of chains of k + 1 elements among the indices in
+    keep, listed one at a time by depth-first extension."""
+    f = []
+
+    def extend(chain):
+        if len(chain) > len(f):
+            f.append(0)
+        f[len(chain) - 1] += 1
+        x = chain[-1]
+        for y in sorted(up[x] & keep - {x}):
+            extend(chain + [y])
+
+    for i in sorted(keep):
+        extend([i])
+    return f
+
+
+def chains_by_length(up, i, j):
+    """{l: number of chains i = x0 < ... < xl = j}, listed one at a time;
+    empty unless i <= j."""
+    counts = {}
+
+    def extend(chain):
+        x = chain[-1]
+        if x == j:
+            counts[len(chain) - 1] = counts.get(len(chain) - 1, 0) + 1
+            return
+        for y in sorted(up[x] - {x}):
+            if j in up[y]:
+                extend(chain + [y])
+
+    if j in up[i]:
+        extend([i])
+    return counts
 
 
 def build(labels, arcs):

@@ -139,6 +139,28 @@ def test_invert_function_bad_label(capsys, b3, tmp_path):
     assert code == 2 and "unknown label" in err
 
 
+def test_json_booleans_are_not_integers(capsys, b3, tmp_path):
+    # true and false are ints to Python; they must not pass as 1 and 0
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps({"": True}))
+    code, out, err = run(capsys, "invert", "--poset", b3,
+                         "--function", str(fpath))
+    assert code == 2 and out == ""
+    assert err == f"error: {fpath}: value for '' is not an integer\n"
+    tpath = tmp_path / "t.json"
+    for tree, field in [({"n": True, "root": 0, "parent": [None]}, "'n'"),
+                        ({"n": 2, "root": False, "parent": [None, 0]},
+                         "'root'"),
+                        ({"n": 3, "root": 0, "parent": [None, 0, True]},
+                         "parent[2]"),
+                        ({"n": 2, "root": 0, "parent": [None, "0"]},
+                         "parent[1]")]:
+        tpath.write_text(json.dumps(tree))
+        code, out, err = run(capsys, "tree", "--tree", str(tpath))
+        assert code == 2 and out == ""
+        assert err == f"error: {tpath}: {field} is not an integer\n"
+
+
 def test_chains(capsys, b3):
     code, obj, _ = run_json(capsys, "chains", "--poset", b3,
                             "--from", "", "--to", "123")
@@ -153,6 +175,54 @@ def test_euler(capsys, b3):
     assert code == 0
     assert obj["pass"]
     assert obj["euler_characteristic"] == 1 + obj["mobius_number"]
+
+
+def _gen(capsys, tmp_path, family, n):
+    path = tmp_path / f"{family}{n}.json"
+    code, out, _ = run(capsys, "gen", "--family", family, "--n", str(n))
+    assert code == 0
+    path.write_text(out)
+    return str(path)
+
+
+def test_chains_and_euler_past_twenty_elements(capsys, tmp_path):
+    # 7087261 chains from the bottom to the top of B_9; `euler` refused
+    # every poset of more than 20 elements before chains were counted
+    # in one pass
+    b9 = _gen(capsys, tmp_path, "boolean", 9)
+    code, obj, _ = run_json(capsys, "chains", "--poset", b9,
+                            "--from", "", "--to", "123456789")
+    assert code == 0 and obj["pass"] and obj["count"] == 7087261
+    assert obj["mu_by_chains"] == obj["mu_matrix"] == -1
+    assert obj["by_length"]["9"] == 362880
+    for path in (_gen(capsys, tmp_path, "boolean", 5), b9,
+                 _gen(capsys, tmp_path, "partition", 7)):
+        code, obj, _ = run_json(capsys, "euler", "--poset", path)
+        assert code == 0 and obj["pass"]
+
+
+def test_chain_counts_refused_before_the_pass(capsys, tmp_path):
+    path = _gen(capsys, tmp_path, "chain", 19999)
+    message = ("error: order_complex: estimated size {} exceeds limit "
+               "10000000\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "euler", "--poset", path)
+    assert code == 2 and out == ""
+    assert err == message.format(20000 * 20001 // 2 * 20000)
+    code, out, err = run(capsys, "chains", "--poset", path,
+                         "--from", "0", "--to", "19999")
+    assert code == 2 and out == ""
+    assert err == message.format(19998 * 19999 // 2 * 19998)
+    assert time.perf_counter() - start < 10
+
+
+def test_chains_refuses_incomparable_endpoints(capsys, tmp_path):
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"elements": ["x", "y"], "covers": []}))
+    code, out, err = run(capsys, "chains", "--poset", str(path),
+                         "--from", "x", "--to", "y")
+    assert code == 2 and out == ""
+    assert err == "error: endpoints are incomparable\n"
 
 
 def test_lattice_check(capsys, b3, tmp_path):

@@ -2,8 +2,11 @@ import random
 
 import pytest
 
+from order_oracles import build, chain_f_vector, chains_by_length
+
 from mobiuslab import complexes
-from mobiuslab.instances import boolean_lattice, chain, random_poset
+from mobiuslab.instances import (boolean_lattice, chain, partition_lattice,
+                                 random_poset, subspace_lattice)
 from mobiuslab.posets import Poset, PosetError
 
 
@@ -18,6 +21,57 @@ def test_order_complex_chain_counts():
     assert complexes.order_complex(P) == [3, 3, 1]
     assert complexes.euler_characteristic(P) == 1
     assert complexes.order_complex(Poset.from_covers([], [])) == []
+
+
+def _random_orders():
+    """Seeded random orders of 0 to 13 elements, with the oracle's own
+    up-sets: the empty poset and antichains first."""
+    rng = random.Random(23)
+    for n in range(14):
+        for density in (0, 0.15, 0.4, 0.8):
+            for _ in range(3):
+                labels = rng.sample(range(100), n)
+                arcs = [(labels[i], labels[j]) for i in range(n)
+                        for j in range(i + 1, n) if rng.random() < density]
+                P, up, _, _ = build(labels, arcs)
+                yield P, up, rng
+
+
+def test_f_vector_matches_chain_listing():
+    for P, up, rng in _random_orders():
+        everything = set(range(P.n))
+        assert complexes.order_complex(P) == chain_f_vector(up, everything)
+        for _ in range(3):
+            keep = {x for x in everything if rng.random() < 0.6}
+            assert (complexes.order_complex(P, keep)
+                    == chain_f_vector(up, keep)), (P.covers, keep)
+
+
+def test_f_vectors_of_lattice_families():
+    for L in (boolean_lattice(3), boolean_lattice(4), partition_lattice(4),
+              partition_lattice(5), subspace_lattice(2, 3),
+              subspace_lattice(3, 2)):
+        P = L.poset
+        up = [frozenset(bits(m)) for m in P.up]
+        inner = set(range(P.n)) - {L.zero, L.one}
+        for keep in (set(range(P.n)), inner):
+            assert (complexes.order_complex(P, keep)
+                    == chain_f_vector(up, keep))
+    # B_4 by hand: chains of k + 1 subsets of {1, 2, 3, 4}
+    assert (complexes.order_complex(boolean_lattice(4).poset)
+            == [16, 65, 110, 84, 24])
+
+
+def test_chain_counts_of_every_interval():
+    for P, up, _ in _random_orders():
+        for a in range(P.n):
+            for b in range(P.n):
+                if b in up[a]:
+                    assert (complexes.chain_counts(P, a, b)
+                            == chains_by_length(up, a, b))
+                else:
+                    with pytest.raises(PosetError):
+                        complexes.chain_counts(P, a, b)
 
 
 def test_euler_equals_one_plus_mobius():

@@ -35,7 +35,7 @@ from mobiuslab import lattices  # noqa: E402
 from mobiuslab.instances import (boolean_lattice, divisor_lattice,  # noqa
                                  partition_lattice, subspace_lattice)
 from mobiuslab.lattices import Lattice, LatticeError  # noqa: E402
-from mobiuslab.nulldesigns import MeetSemilattice  # noqa: E402
+from mobiuslab.lattices import MeetSemilattice  # noqa: E402
 from mobiuslab.posets import Poset, PosetError  # noqa: E402
 
 

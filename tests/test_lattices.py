@@ -450,6 +450,21 @@ def test_dowling_wilson():
             assert lattices.top_heavy_check(L, k)["pass"]
 
 
+def test_top_heavy_k_range():
+    # the inequality holds for every 0 <= k <= d; a k outside that range
+    # is refused rather than reported as a failure (k = d + 1) or a
+    # vacuous pass (k = -1)
+    for L in (boolean_lattice(4), partition_lattice(5),
+              subspace_lattice(2, 3), divisor_lattice(72)):
+        d = L.height
+        for k in range(d + 1):
+            assert lattices.top_heavy_check(L, k)["pass"], (L, k)
+        for k in (-1, d + 1):
+            with pytest.raises(LatticeError,
+                               match=rf"^k must be in 0\.\.{d}$"):
+                lattices.top_heavy_check(L, k)
+
+
 def test_dowling_wilson_hypothesis_failure():
     with pytest.raises(LatticeError):
         lattices.dowling_wilson_check(Lattice(chain(2)))

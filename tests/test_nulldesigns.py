@@ -6,9 +6,9 @@ import pytest
 from mobiuslab.instances import (boolean_lattice, divisor_lattice,
                                  partition_lattice, random_poset,
                                  subspace_lattice)
-from mobiuslab.nulldesigns import (MeetSemilattice, restrict_to_interval,
-                                   strength, support_lower_bound,
-                                   verify_support_theorem)
+from mobiuslab.lattices import MeetSemilattice
+from mobiuslab.nulldesigns import (restrict_to_interval, strength,
+                                   support_lower_bound, verify_support_theorem)
 from mobiuslab.posets import Poset, PosetError
 
 
