@@ -81,17 +81,23 @@ def _load_graph(path):
 
 def _load_tree(path):
     obj = _load_json(path)
+    if type(obj) is not dict:
+        raise InputError(f"{path}: tree JSON is not an object")
+    for key in ("n", "root", "parent"):
+        if key not in obj:
+            raise InputError(f"{path}: missing {key!r}")
+    n, root, parent = obj["n"], obj["root"], obj["parent"]
+    if type(parent) is not list:
+        raise InputError(f"{path}: 'parent' is not a list")
+    # JSON true and false would pass as the integers 1 and 0
+    fields = [("'n'", n), ("'root'", root)] + [
+        (f"parent[{v}]", p) for v, p in enumerate(parent) if p is not None]
+    for field, value in fields:
+        if type(value) is not int:
+            raise InputError(f"{path}: {field} is not an integer")
     try:
-        n, root, parent = obj["n"], obj["root"], obj["parent"]
-        # JSON true and false would pass as the integers 1 and 0
-        fields = [("'n'", n), ("'root'", root)] + [
-            (f"parent[{v}]", p) for v, p in enumerate(
-                parent if type(parent) is list else ()) if p is not None]
-        for field, value in fields:
-            if type(value) is not int:
-                raise InputError(f"{path}: {field} is not an integer")
         return treedist.RootedTree(n, root, parent)
-    except (KeyError, TypeError, ValueError) as e:
+    except ValueError as e:
         raise InputError(f"{path}: {e}")
 
 

@@ -375,6 +375,8 @@ def random_graph(n, edge_count, seed):
     """Random simple graph with the requested number of edges."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if edge_count < 0:
+        raise ValueError("edge count must be nonnegative")
     check_size("random_graph", n * (n - 1) // 2, _PAIR_LIMIT)
     rng = random.Random(seed)
     pairs = list(combinations(range(n), 2))

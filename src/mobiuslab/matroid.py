@@ -5,9 +5,8 @@ polynomials, and the linear-code weight check."""
 from itertools import combinations, product
 
 from .guards import check_size
-from .instances import _Field, contraction_lattice
+from .instances import _Field, _sorted_poset, contraction_lattice
 from .lattices import Lattice, whitney_rank_sums
-from .posets import Poset
 
 
 # -- integer polynomials, ascending coefficients -------------------------
@@ -150,43 +149,29 @@ def broken_circuits(M, order=None):
 
 def nbc_counts(M, order=None):
     """counts[k] = number of independent k-subsets containing no broken
-    circuit.  Works directly from the closure operator, so it does not
-    need the circuit list: an independent set T, listed in increasing
-    order, contains a broken circuit exactly when some absent atom p
-    lies under the join of the part of T after p."""
+    circuit, from the closure operator: T contains one exactly when some
+    absent atom p lies under the join of the part of T after p.  Sets
+    grow by an atom a before their least one; the parts after the other
+    absent atoms keep their joins, so the one new condition is that no
+    atom before a lies under the new join.  a is not under the old join,
+    since that set had no broken circuit, so T stays independent."""
     L = M.lattice
     order = list(M.atoms) if order is None else list(order)
     if sorted(order) != sorted(M.atoms):
         raise ValueError("order is not a permutation of the atoms")
-    m = len(order)
     counts = [0] * (M.rank + 1)
     down = L.poset.down
 
-    def extend(positions, join):
-        counts[len(positions)] += 1
-        last = positions[-1] if positions else -1
-        for i in range(last + 1, m):
-            a = order[i]
-            if down[join] >> a & 1:
-                continue
-            chosen = positions + [i]
-            suffix = [None] * len(chosen)
-            acc = L.zero
-            for k in range(len(chosen) - 1, -1, -1):
-                acc = L.join(acc, order[chosen[k]])
-                suffix[k] = acc
-            ok = True
-            for p in range(i):
-                if p in chosen:
-                    continue
-                k = next(idx for idx, c in enumerate(chosen) if c > p)
-                if down[suffix[k]] >> order[p] & 1:
-                    ok = False
-                    break
-            if ok:
-                extend(chosen, suffix[0])
+    def extend(i, size, join):
+        counts[size] += 1
+        before = 0  # the atoms order[:k], as a mask
+        for k in range(i):
+            j = L.join(join, order[k])
+            if not down[j] & before:
+                extend(k, size + 1, j)
+            before |= 1 << order[k]
 
-    extend([], L.zero)
+    extend(len(order), 0, L.zero)
     return counts
 
 
@@ -214,23 +199,14 @@ def stirling_first_unsigned(n, k):
 # -- chromatic and characteristic polynomials ----------------------------
 
 def characteristic_polynomial(L):
-    """F_L(x) = sum over ranks k of w_k x^(d-k)."""
-    w = whitney_rank_sums(L)
-    d = L.height
-    out = []
-    for k, wk in enumerate(w):
-        out = poly_add(out, monomial(wk, d - k))
-    return out
+    """F_L(x) = sum over ranks k of w_k x^(d-k); w_0 = 1 leads."""
+    return whitney_rank_sums(L)[::-1]
 
 
 def chromatic_polynomial(G):
     """P(x) = sum_k w_k x^(n-k) from the contraction lattice of G."""
     L = contraction_lattice(G)
-    w = whitney_rank_sums(L)
-    out = []
-    for k, wk in enumerate(w):
-        out = poly_add(out, monomial(wk, G.n - k))
-    return out
+    return [0] * (G.n - L.height) + characteristic_polynomial(L)
 
 
 def chromatic_oracle(G):
@@ -279,34 +255,11 @@ def coloring_count(G, k):
 
 # -- codes from column configurations ------------------------------------
 
-def _gf_rank(rows, F):
-    rows = [list(r) for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(rows))
-                      if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = next(c for c in range(1, F.q) if F.mul(c, rows[rank][col]) == 1)
-        rows[rank] = [F.mul(inv, x) for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                c = rows[i][col]
-                neg = next(s for s in range(F.q)
-                           if F.add(s, c) == 0)
-                factor = neg
-                rows[i] = [F.add(a, F.mul(factor, b))
-                           for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
 def flats_lattice(generator, q):
-    """Lattice of closed column subsets of the generator matrix:
-    closure(T) = columns whose addition leaves the GF(q) rank
-    unchanged."""
+    """Lattice of closed column sets of the generator matrix, labeled by
+    sorted column tuples: a flat is the columns inside a GF(q) span, and
+    its covers come from its span plus one more column v, each found once
+    (a v inside a cover found from the same flat gives that cover)."""
     F = _Field(q)
     k = len(generator)
     ncols = len(generator[0])
@@ -315,30 +268,31 @@ def flats_lattice(generator, q):
     if any(all(x == 0 for x in col) for col in columns):
         raise ValueError("zero column in generator matrix")
 
-    def col_rank(T):
-        return _gf_rank([columns[j] for j in T], F)
+    def flat(span):
+        return tuple(j for j in range(ncols) if columns[j] in span)
 
-    def closure(T):
-        r = col_rank(T)
-        return frozenset(j for j in range(ncols)
-                         if j in T or col_rank(list(T) + [j]) == r)
-
-    flats = {closure([])}
-    frontier = [closure([])]
-    while frontier:
-        Fl = frontier.pop()
-        for j in range(ncols):
-            if j in Fl:
-                continue
-            G2 = closure(list(Fl) + [j])
-            if G2 not in flats:
-                flats.add(G2)
-                frontier.append(G2)
-    flats = sorted(flats, key=lambda S: (len(S), sorted(S)))
-    labels = ["".join(str(j) for j in sorted(S)) if S else "" for S in flats]
-    arcs = [(i, j) for i, S in enumerate(flats) for j, T in enumerate(flats)
-            if i != j and S < T]
-    return Lattice(Poset._from_arcs(labels, arcs))
+    spans = [{(0,) * k}]
+    flats = [()]  # no column is zero
+    index = {(): 0}
+    arcs = []
+    for i, S in enumerate(spans):  # spans grows as covers are found
+        free = [j for j in range(ncols) if j not in flats[i]]
+        while free:
+            v = columns[free[0]]
+            T = set(S)
+            for c in range(1, q):
+                cv = [F.mul(c, x) for x in v]
+                T.update(tuple(map(F.add, s, cv)) for s in S)
+            cover = flat(T)
+            free = [j for j in free if j not in cover]
+            t = index.get(cover)
+            if t is None:
+                t = index[cover] = len(flats)
+                flats.append(cover)
+                spans.append(T)
+            arcs.append((i, t))
+    keys = [(len(C), C) for C in flats]
+    return Lattice(_sorted_poset(keys, flats, arcs))
 
 
 def codeword_weight_check(generator, q, t=None):

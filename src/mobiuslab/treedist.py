@@ -26,7 +26,7 @@ class RootedTree:
             if v == root:
                 continue
             p = parent[v]
-            if not 0 <= p < n or p == v:
+            if p is None or not 0 <= p < n or p == v:
                 raise ValueError(f"bad parent {p} for vertex {v}")
             children[p].append(v)
         order = [root]

@@ -1,9 +1,10 @@
-"""Oracles for the lattice families of mobiuslab.instances that share no
-code with them: partitions enumerated one by one and merged through
-restricted-growth strings, contraction lattices as the partitions whose
-cells are connected, subspaces spanned as sets of tuples and ordered by
-testing every pair for containment, and divisors found by trial of every
-integer up to n.  Imported by test_instances.py.
+"""Oracles for the lattice families of mobiuslab.instances and for
+matroid.flats_lattice that share no code with them: partitions enumerated
+one by one and merged through restricted-growth strings, contraction
+lattices as the partitions whose cells are connected, subspaces spanned as
+sets of tuples and ordered by testing every pair for containment, divisors
+found by trial of every integer up to n, and flats closed by GF(q) rank.
+Imported by test_instances.py and test_matroid.py.
 """
 
 from itertools import combinations
@@ -156,6 +157,64 @@ def divisor_lattice(n):
     arcs = [(i, j) for i, a in enumerate(divs) for j, b in enumerate(divs)
             if i != j and b % a == 0]
     return Poset._from_arcs(divs, arcs)
+
+
+def gf_rank(rows, F):
+    """Rank over GF(q) of a list of vectors, by Gauss-Jordan elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    cols = len(rows[0]) if rows else 0
+    for col in range(cols):
+        pivot = next((i for i in range(rank, len(rows))
+                      if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = next(c for c in range(1, F.q) if F.mul(c, rows[rank][col]) == 1)
+        rows[rank] = [F.mul(inv, x) for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                neg = next(s for s in range(F.q)
+                           if F.add(s, rows[i][col]) == 0)
+                rows[i] = [F.add(a, F.mul(neg, b))
+                           for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def flats_lattice(generator, q):
+    """Closed column sets of the generator matrix: closure(T) = the
+    columns whose addition leaves the GF(q) rank unchanged, grown from the
+    empty closure one column at a time; an arc for every strict
+    containment.  Labels are the sorted column tuples."""
+    F = _Field(q)
+    k = len(generator)
+    ncols = len(generator[0])
+    columns = [tuple(generator[i][j] for i in range(k))
+               for j in range(ncols)]
+
+    def col_rank(T):
+        return gf_rank([columns[j] for j in T], F)
+
+    def closure(T):
+        r = col_rank(T)
+        return frozenset(j for j in range(ncols)
+                         if j in T or col_rank(list(T) + [j]) == r)
+
+    flats = {closure([])}
+    frontier = [closure([])]
+    while frontier:
+        Fl = frontier.pop()
+        for j in range(ncols):
+            if j not in Fl:
+                G2 = closure(list(Fl) + [j])
+                if G2 not in flats:
+                    flats.add(G2)
+                    frontier.append(G2)
+    flats = sorted(flats, key=lambda S: (len(S), sorted(S)))
+    arcs = [(i, j) for i, S in enumerate(flats) for j, T in enumerate(flats)
+            if i != j and S < T]
+    return Poset._from_arcs([tuple(sorted(S)) for S in flats], arcs)
 
 
 def same_order(P, Q):

@@ -475,6 +475,28 @@ def test_poset_json_not_an_object(capsys, tmp_path, body):
         2, "", f"error: {path}: poset JSON is not an object\n")
 
 
+@pytest.mark.parametrize("body, message", [
+    ([None], "tree JSON is not an object"),
+    ({"root": 0, "parent": [None]}, "missing 'n'"),
+    ({"n": 1, "parent": [None]}, "missing 'root'"),
+    ({"n": 1, "root": 0}, "missing 'parent'"),
+    ({"n": 1, "root": 0, "parent": {"0": None}}, "'parent' is not a list"),
+    ({"n": 2, "root": 0, "parent": [None, None]},
+     "bad parent None for vertex 1"),
+])
+def test_bad_tree_named(capsys, tmp_path, body, message):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(body))
+    assert run(capsys, "tree", "--tree", str(path)) == (
+        2, "", f"error: {path}: {message}\n")
+
+
+def test_gen_random_graph_refuses_negative_edges(capsys):
+    assert run(capsys, "gen", "--family", "random-graph", "--n", "4",
+               "--edges", "-1") == (
+        2, "", "error: edge count must be nonnegative\n")
+
+
 # The child processes below import mobiuslab from the same place as this
 # test process, installed or not, whatever directory pytest started in.
 def child_env():

@@ -26,7 +26,8 @@ from mobiuslab.cli import main
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
 # posets written by hand: a bowtie (not a lattice), the pentagon N5 (a
-# lattice that is not ranked) and a poset with two minimal elements
+# lattice that is not ranked), a poset with two minimal elements and a
+# ranked lattice whose mu(0, 1) is 0
 _HAND = {
     "bowtie": {"elements": ["0", "a", "b", "c", "d", "1"],
                "covers": [["0", "a"], ["0", "b"], ["a", "c"], ["a", "d"],
@@ -36,10 +37,16 @@ _HAND = {
                             ["c", "1"]]},
     "vee": {"elements": ["x", "y", "z"], "covers": [["x", "z"], ["y", "z"],
                                                     ["x", "z"]]},
+    "mu_zero": {"elements": ["0", "a", "b", "c", "1"],
+                "covers": [["0", "a"], ["0", "b"], ["a", "c"], ["b", "c"],
+                           ["c", "1"]]},
 }
 _FILES = {
     "c4.txt": "0 1\n1 2\n2 3\n3 0\n",
     "k4.txt": "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n",
+    # vertex 1 is isolated
+    "isolated.txt": "0 2\n",
+    "two_edges.txt": "0 1\n2 3\n",
     "tree5.json": json.dumps({"n": 5, "root": 0,
                               "parent": [None, 0, 0, 1, 1]}),
     "g_b3.json": json.dumps({lab: (-1) ** len(lab) for lab in
@@ -139,6 +146,7 @@ _QUERIES = [
     ("charpoly l32", ["charpoly", "--poset", "@l32"]),
     ("charpoly d60", ["charpoly", "--poset", "@d60"]),
     ("charpoly p5", ["charpoly", "--poset", "@p5"]),
+    ("charpoly mu zero", ["charpoly", "--poset", "@mu_zero"]),
     ("weisner p4", ["weisner", "--poset", "@p4"]),
     ("weisner l32 one", ["weisner", "--poset", "@l32", "--element",
                          "100"]),
@@ -155,6 +163,9 @@ _QUERIES = [
                                 "1,2"]),
     ("chromatic c4", ["chromatic", "--graph", "@c4.txt"]),
     ("chromatic k4", ["chromatic", "--graph", "@k4.txt"]),
+    ("chromatic isolated vertex", ["chromatic", "--graph",
+                                   "@isolated.txt"]),
+    ("chromatic disconnected", ["chromatic", "--graph", "@two_edges.txt"]),
     ("tree file", ["tree", "--tree", "@tree5.json"]),
     ("tree random", ["tree", "--n", "7", "--seed", "2"]),
     ("tree none", ["tree"]),

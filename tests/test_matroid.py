@@ -1,19 +1,24 @@
 import random
+from itertools import product
 
 import pytest
 
+import family_oracles as oracle
 from mobiuslab import matroid
 from mobiuslab.guards import SizeGuardError
-from mobiuslab.instances import (Graph, boolean_lattice, complete_graph,
-                                 contraction_lattice, cycle_graph,
+from mobiuslab.instances import (Graph, _Field, boolean_lattice,
+                                 complete_graph, contraction_lattice,
+                                 cycle_graph, gaussian_binomial,
                                  partition_lattice, random_connected_graph,
-                                 subspace_lattice)
+                                 random_graph, subspace_lattice)
+from mobiuslab.lattices import Lattice, whitney_numbers
 from mobiuslab.matroid import (AtomMatroid, broken_circuits,
                                characteristic_polynomial, chromatic_oracle,
                                chromatic_polynomial, circuits,
                                codeword_weight_check, coloring_count,
-                               independents, nbc_counts, poly_eval,
-                               stirling_first_unsigned)
+                               flats_lattice, independents, nbc_counts,
+                               poly_eval, stirling_first_unsigned)
+from mobiuslab.posets import Poset
 
 
 def path_graph(n):
@@ -98,21 +103,43 @@ def test_nbc_counts_match_whitney_sums():
             assert nbc_counts(M, order) == base
 
 
+def nbc_by_circuits(M, order):
+    """NBC counts by the circuit route: the independent sets that contain
+    no broken circuit under the order."""
+    bcs = broken_circuits(M, order)
+    counts = [0] * (M.rank + 1)
+    for T in independents(M):
+        if not any(B <= T for B in bcs):
+            counts[len(T)] += 1
+    return counts
+
+
+def shuffled_orders(M, rng, k):
+    for _ in range(k):
+        order = list(M.atoms)
+        rng.shuffle(order)
+        yield order
+
+
 def test_nbc_closure_route_matches_circuit_route():
     rng = random.Random(32)
     for L in (partition_lattice(4), subspace_lattice(2, 3)):
         M = AtomMatroid(L)
-        for _ in range(3):
-            order = list(M.atoms)
-            rng.shuffle(order)
-            pos = {p: i for i, p in enumerate(order)}
-            bcs = broken_circuits(M, order)
-            counts = [0] * (M.rank + 1)
-            for T in independents(M):
-                if any(B <= T for B in bcs):
-                    continue
-                counts[len(T)] += 1
-            assert counts == nbc_counts(M, order)
+        for order in shuffled_orders(M, rng, 3):
+            assert nbc_by_circuits(M, order) == nbc_counts(M, order)
+
+
+def test_nbc_counts_match_circuit_route_on_graphs():
+    # contraction lattices of seeded graphs, forests and isolated
+    # vertices included, each under shuffled atom orders
+    rng = random.Random(36)
+    for _ in range(15):
+        n = rng.randrange(2, 7)
+        e = rng.randrange(min(10, n * (n - 1) // 2) + 1)
+        M = AtomMatroid(contraction_lattice(
+            random_graph(n, e, rng.randrange(2 ** 30))))
+        for order in shuffled_orders(M, rng, 4):
+            assert nbc_by_circuits(M, order) == nbc_counts(M, order)
 
 
 def test_nbc_partition_lattice_stirling():
@@ -164,6 +191,9 @@ def test_chromatic_known_graphs():
     assert chromatic_polynomial(complete_graph(3)) == [0, 2, -3, 1]
     assert chromatic_polynomial(cycle_graph(4)) == [0, -3, 6, -4, 1]
     assert chromatic_polynomial(Graph(3, [])) == [0, 0, 0, 1]
+    # vertex 1 is isolated: x * x (x - 1)
+    assert chromatic_polynomial(Graph(3, [(0, 2)])) == [0, 0, -1, 1]
+    assert chromatic_polynomial(Graph(0, [])) == [1]
 
 
 def test_chromatic_matches_oracle_and_colorings():
@@ -190,6 +220,10 @@ def test_chromatic_disconnected():
 def test_characteristic_polynomial():
     assert characteristic_polynomial(subspace_lattice(2, 2)) == [2, -3, 1]
     assert characteristic_polynomial(boolean_lattice(4)) == [1, -4, 6, -4, 1]
+    # 0 < a, b < c < 1: mu(0, 1) = 0 is the constant term
+    L = Lattice(Poset.from_covers("0abc1", [list(c) for c in
+                                            ("0a", "0b", "ac", "bc", "c1")]))
+    assert characteristic_polynomial(L) == [0, 1, -2, 1]
 
 
 def test_codeword_weight_identity_matrix():
@@ -223,3 +257,64 @@ def test_codeword_random_matrices():
         r = codeword_weight_check(g, q, t=2 if done < 3 else None)
         assert r["pass"], (g, q, r)
         done += 1
+
+
+# -- flats of a vector configuration -------------------------------------
+
+def seeded_generators(count):
+    """(generator, q) over GF(2..5) with 1-4 rows and 1-8 columns; about
+    one column in three repeats or is parallel to an earlier one."""
+    rng = random.Random(35)
+    for _ in range(count):
+        q, k = rng.randrange(2, 6), rng.randrange(1, 5)
+        F = _Field(q)
+        cols = []
+        for _ in range(rng.randrange(1, 9)):
+            if cols and rng.random() < 0.3:
+                c = rng.randrange(1, q)
+                cols.append([F.mul(c, x) for x in rng.choice(cols)])
+            else:
+                cols.append([0] * k)
+                while not any(cols[-1]):
+                    cols[-1] = [rng.randrange(q) for _ in range(k)]
+        yield [list(row) for row in zip(*cols)], q
+
+
+@pytest.mark.parametrize("generator, q", seeded_generators(120))
+def test_flats_match_rank_closure_oracle(generator, q):
+    # labels are the flats as column sets
+    assert oracle.same_order(flats_lattice(generator, q).poset,
+                             oracle.flats_lattice(generator, q))
+
+
+def projective_points(q, k):
+    """One vector per line through 0 of GF(q)^k: those whose first
+    nonzero coordinate is 1."""
+    return [v for v in product(range(q), repeat=k)
+            if any(v) and next(x for x in v if x) == 1]
+
+
+@pytest.mark.parametrize("q, k", [(q, k) for q in (2, 3, 4, 5)
+                                  for k in (1, 2, 3)])
+def test_projective_flats_are_the_subspaces(q, k):
+    points = projective_points(q, k)
+    L = flats_lattice([list(row) for row in zip(*points)], q)
+    assert whitney_numbers(L) == [gaussian_binomial(k, r, q)
+                                  for r in range(k + 1)]
+    assert characteristic_polynomial(L) == characteristic_polynomial(
+        subspace_lattice(q, k))
+
+
+# PG(3, 2) with one point left out: 14 columns
+PG32_MINUS_POINT = [[0, 1, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 0, 1],
+                    [0, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1, 0, 1],
+                    [0, 0, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0],
+                    [1, 0, 0, 1, 1, 0, 1, 1, 0, 1, 1, 1, 0, 0]]
+
+
+def test_flats_labels_do_not_collide_past_ten_columns():
+    # as digit strings, {1, 2, 13} and {12, 13} both read "1213"
+    L = flats_lattice(PG32_MINUS_POINT, 2)
+    assert L.n == 66
+    assert {(1, 2, 13), (12, 13)} <= set(L.poset.labels)
+    assert codeword_weight_check(PG32_MINUS_POINT, 2)["pass"]
