@@ -9,6 +9,11 @@ computed size estimate.  Every limit is a constant.
 # on integers of O(n) bits; `tree --n 300` takes about 4 s.
 TREE_VERTICES = 300
 
+# Element limit of posets read from JSON. The up- and down-set masks
+# take up to n^2/8 bytes each; 10^5 is the largest family `gen` emits
+# (subspace and contraction lattices), so every `gen` output loads.
+POSET_ELEMENTS = 10 ** 5
+
 
 class SizeGuardError(ValueError):
     def __init__(self, what, estimate, limit):

@@ -17,21 +17,6 @@ class NotRankedError(LatticeError):
     pass
 
 
-def _mask_bound(sets, i, j, greatest):
-    """Join or meet of elements i and j, or None if it does not exist.
-
-    With up-sets and greatest=False it is the join: the lowest bit of
-    up[i] & up[j], since a least upper bound precedes every other upper
-    bound in the linear extension.  With down-sets and greatest=True it
-    is the meet: the highest bit of down[i] & down[j].  The candidate is
-    the bound iff the whole intersection lies inside its own set.
-    """
-    common = sets[i] & sets[j]
-    top = common if greatest else common & -common
-    best = top.bit_length() - 1
-    return best if common & sets[best] == common else None
-
-
 def _cover_pairs(n, covers):
     """Each pair x != y of elements that cover a common element, given
     the cover pairs (c, x); given them reversed, the pairs covered by a
@@ -41,16 +26,6 @@ def _cover_pairs(n, covers):
         above[c].append(x)
     for xs in above:
         yield from combinations(xs, 2)
-
-
-def _covers_have_joins(P):
-    """True iff every pair of P with a common upper bound has a join, for
-    P with a least element: a lattice if P has a top, else a meet
-    semilattice.  Checking pairs of upper covers of each element suffices
-    (proof in README).  Pairs with no common upper bound pass."""
-    up = P.up
-    return all(not up[x] & up[y] or _mask_bound(up, x, y, False) is not None
-               for x, y in _cover_pairs(P.n, P.covers))
 
 
 def _extremes(sets):
@@ -83,12 +58,19 @@ class MeetSemilattice:
         """Raise error unless the scan of upper covers finds every join.
         The witness is the first pair in index order whose bound, read
         from sets (down-sets for a meet, up-sets for a join), is
-        missing."""
+        missing.
+
+        The common upper bounds of x and y have a least element z iff
+        they are z's own up-set, and up-sets are distinct; dually for
+        meets.  A pair with no common bound (0) passes."""
         P, n = self.poset, self.n
-        if not _covers_have_joins(P):
-            greatest = sets is P.down
+        up = P.up
+        joins = {*up, 0}
+        if any(up[x] & up[y] not in joins
+               for x, y in _cover_pairs(n, P.covers)):
+            own = {*sets, 0}
             i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
-                        if _mask_bound(sets, i, j, greatest) is None)
+                        if sets[i] & sets[j] not in own)
             raise error(f"no {bound} bound for witness pair "
                         f"({P.labels[i]!r}, {P.labels[j]!r})")
 

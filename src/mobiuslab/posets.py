@@ -9,6 +9,8 @@ by input label order: identical input always yields identical matrices.
 from heapq import heappop, heappush
 from itertools import compress, count
 
+from .guards import POSET_ELEMENTS, check_size
+
 
 class PosetError(ValueError):
     pass
@@ -391,5 +393,6 @@ def poset_from_json(data):
         raise PosetError("poset JSON needs 'elements' and 'covers' keys")
     if type(data["elements"]) not in (list, tuple):
         raise PosetError("'elements' is not a list of labels")
+    check_size("poset", len(data["elements"]), POSET_ELEMENTS)
     # non-cover relations in the input are accepted and reduced
     return Poset.from_covers(data["elements"], data["covers"])

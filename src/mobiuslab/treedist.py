@@ -42,13 +42,11 @@ class RootedTree:
             raise ValueError("parent structure is cyclic or disconnected")
         self.n = n
         self.root = root
-        self.order = order
         pos = {v: i for i, v in enumerate(order)}
         self.parent_pos = [None] * n
         for v in range(n):
             if v != root:
                 self.parent_pos[pos[v]] = pos[parent[v]]
-        self.labels = order
 
     @classmethod
     def from_graph(cls, graph, root=0):

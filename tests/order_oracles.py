@@ -1,8 +1,10 @@
 """Oracles for the order kernel that share no code with it: reachability
 by depth-first search, Kahn's order by a linear scan for the smallest
 ready index, Mobius rows by back-substitution over frozensets, Hall's
-chain sums, and chain counts by listing every chain.  Imported by
-test_order_kernel.py, test_order_seeded.py and test_complexes.py.
+chain sums, chain counts by listing every chain, and joins and meets by
+searching the common bounds of a pair.  Imported by test_order_kernel.py,
+test_order_seeded.py, test_complexes.py, test_lattice_properties.py and
+test_lattice_seeded.py.
 """
 
 from mobiuslab.posets import Poset
@@ -124,3 +126,80 @@ def build(labels, arcs):
         up[to_P[i]] = frozenset(to_P[j] for j in reach[i])
     down = [frozenset(i for i in range(n) if j in up[i]) for j in range(n)]
     return P, up, down, index_arcs
+
+
+def poset_with_zero(rng, top, sets=False, pad=False):
+    """A random poset with a least element, and a greatest one if `top`:
+    a random order on up to 10 elements in up to 4 levels with the bounds
+    adjoined, or, with `sets`, an intersection-closed family of subsets
+    of a 5-set.  With `pad`, a chain of 400 to 410 elements is put below
+    the least element."""
+    if not sets:
+        k = rng.randint(1, 10)
+        labels = [f"x{i}" for i in range(k)]
+        level = [rng.randint(1, 4) for _ in range(k)]
+        density = rng.random()
+        arcs = [(labels[a], labels[b]) for a in range(k) for b in range(k)
+                if level[a] < level[b] and rng.random() < density]
+        rng.shuffle(labels)
+        arcs += [("0", x) for x in labels]
+        if top:
+            arcs += [(x, "1") for x in labels]
+        labels = ["0"] + labels + ["1"] * top
+    else:
+        family = {rng.getrandbits(5) for _ in range(rng.randint(1, 10))}
+        if top:
+            family.add(31)
+        while True:
+            closed = family | {a & b for a in family for b in family}
+            if closed == family:
+                break
+            family = closed
+        labels = sorted(family, key=lambda s: rng.random())
+        arcs = [(a, b) for a in family for b in family
+                if a != b and a & b == a]
+    if pad:
+        heads = {b for _, b in arcs}
+        bottom = next(x for x in labels if x not in heads)
+        chain = [f"c{i}" for i in range(rng.randint(400, 410))]
+        arcs += list(zip(chain, chain[1:])) + [(chain[-1], bottom)]
+        labels = chain + labels
+    return Poset.from_covers(labels, arcs)
+
+
+def least_upper_bound(P, i, j):
+    """The join of i and j by search, or None."""
+    upper = P.up[i] & P.up[j]
+    least = [k for k in bits(upper) if P.up[k] & upper == upper]
+    return least[0] if least else None
+
+
+def greatest_lower_bound(P, i, j):
+    """The meet of i and j by search, or None."""
+    lower = P.down[i] & P.down[j]
+    greatest = [k for k in bits(lower) if P.down[k] & lower == lower]
+    return greatest[0] if greatest else None
+
+
+def incomparable_pairs(P):
+    """The pairs i < j of incomparable elements, in index order; every
+    comparable pair has both bounds."""
+    everything = (1 << P.n) - 1
+    for i in range(P.n):
+        for j in bits(everything & ~(P.up[i] | P.down[i]) >> i << i):
+            yield i, j
+
+
+def first_unbounded_pair(P, kinds):
+    """(kind, i, j) for the first pair in index order whose bound of each
+    kind, tried in the given order, is missing; None if there is none."""
+    search = {"upper": least_upper_bound, "lower": greatest_lower_bound}
+    for i, j in incomparable_pairs(P):
+        for kind in kinds:
+            if search[kind](P, i, j) is None:
+                return kind, i, j
+    return None
+
+
+def pair(P, i, j):
+    return f"({P.labels[i]!r}, {P.labels[j]!r})"

@@ -600,6 +600,19 @@ def test_tree_size_guard(tmp_path):
         in r.stderr and b"Traceback" not in r.stderr
 
 
+def test_poset_input_size_guard(tmp_path):
+    # refused before the order masks are built: an antichain of 10^5
+    # elements alone would take about 1.2 GB of masks
+    path = tmp_path / "antichain.json"
+    path.write_text(json.dumps({"elements": list(range(100001)),
+                                "covers": []}))
+    r = run_child(tmp_path, sys.executable, "-m", "mobiuslab", "mu",
+                  "--poset", str(path), "--from", "0", "--to", "1")
+    assert r.returncode == 2 and r.stdout == b""
+    assert r.stderr == (f"error: {path}: poset: estimated size 100001 "
+                        "exceeds limit 100000\n").encode()
+
+
 @pytest.mark.parametrize("family, n", [("subspace", "-1"),
                                        ("random-graph", "-2")])
 def test_gen_negative_size(capsys, family, n):

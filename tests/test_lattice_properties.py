@@ -10,9 +10,11 @@ read only the order relation (the masks `up` and `down`) and search it.
 - `cutset_mobius` folds the cut in over signed counts per (join, meet);
   it must agree with the sum over `itertools.combinations`.
 
-`tests/test_lattices.py` runs seeded versions of these without
-hypothesis: `is_semimodular` and `is_modular_lattice` against the rank
-gaps r(a) + r(b) - r(a v b) - r(a ^ b) over all pairs (`rank_gaps`), and
+`tests/test_lattice_seeded.py` runs the first check without hypothesis
+on posets from the same generator, `order_oracles.poset_with_zero`, and
+`tests/test_lattices.py` runs seeded versions of the others:
+`is_semimodular` and `is_modular_lattice` against the rank gaps
+r(a) + r(b) - r(a v b) - r(a ^ b) over all pairs (`rank_gaps`), and
 `cutset_mobius` against the walk over every subset of the cut
 (`subset_walk`).
 
@@ -30,6 +32,9 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from order_oracles import (first_unbounded_pair,  # noqa: E402
+                           greatest_lower_bound, incomparable_pairs,
+                           least_upper_bound, pair, poset_with_zero)
 
 from mobiuslab import lattices  # noqa: E402
 from mobiuslab.instances import (boolean_lattice, divisor_lattice,  # noqa
@@ -41,92 +46,12 @@ from mobiuslab.posets import Poset, PosetError  # noqa: E402
 
 @st.composite
 def posets_with_zero(draw, top, pad=False):
-    """A poset with a least element, and a greatest one if `top`: either
-    a random order on up to 10 elements in up to 4 levels, with bounds
-    adjoined (two times in three), or an intersection-closed family of
-    subsets of a 5-set.
-    With `pad`, a chain of 400 to 410 elements may be put below the least
-    element."""
+    """`order_oracles.poset_with_zero` from a drawn seed: a random order
+    two times in three, else a set family; with `pad`, a chain below it
+    half the time."""
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
-    if draw(st.integers(0, 2)):
-        k = rng.randint(1, 10)
-        labels = [f"x{i}" for i in range(k)]
-        level = [rng.randint(1, 4) for _ in range(k)]
-        density = rng.random()
-        arcs = [(labels[a], labels[b]) for a in range(k) for b in range(k)
-                if level[a] < level[b] and rng.random() < density]
-        rng.shuffle(labels)
-        arcs += [("0", x) for x in labels]
-        if top:
-            arcs += [(x, "1") for x in labels]
-        labels = ["0"] + labels + ["1"] * top
-    else:
-        family = {rng.getrandbits(5) for _ in range(rng.randint(1, 10))}
-        if top:
-            family.add(31)
-        while True:
-            closed = family | {a & b for a in family for b in family}
-            if closed == family:
-                break
-            family = closed
-        labels = sorted(family, key=lambda s: rng.random())
-        arcs = [(a, b) for a in family for b in family
-                if a != b and a & b == a]
-    if pad and draw(st.booleans()):
-        heads = {b for _, b in arcs}
-        bottom = next(x for x in labels if x not in heads)
-        chain = [f"c{i}" for i in range(rng.randint(400, 410))]
-        arcs += list(zip(chain, chain[1:])) + [(chain[-1], bottom)]
-        labels = chain + labels
-    return Poset.from_covers(labels, arcs)
-
-
-def bits(mask):
-    """Indices of the set bits of a mask."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def least_upper_bound(P, i, j):
-    """The join of i and j by search, or None."""
-    upper = P.up[i] & P.up[j]
-    least = [k for k in bits(upper) if P.up[k] & upper == upper]
-    return least[0] if least else None
-
-
-def greatest_lower_bound(P, i, j):
-    """The meet of i and j by search, or None."""
-    lower = P.down[i] & P.down[j]
-    greatest = [k for k in bits(lower) if P.down[k] & lower == lower]
-    return greatest[0] if greatest else None
-
-
-def incomparable_pairs(P):
-    """The pairs i < j of incomparable elements, in index order; every
-    comparable pair has both bounds."""
-    everything = (1 << P.n) - 1
-    for i in range(P.n):
-        for j in bits(everything & ~(P.up[i] | P.down[i]) >> i << i):
-            yield i, j
-
-
-def first_unbounded_pair(P, kinds):
-    """(kind, i, j) for the first pair in index order whose bound of each
-    kind, tried in the given order, is missing; None if there is none."""
-    search = {"upper": least_upper_bound, "lower": greatest_lower_bound}
-    for i, j in incomparable_pairs(P):
-        for kind in kinds:
-            if search[kind](P, i, j) is None:
-                return kind, i, j
-    return None
-
-
-def pair(P, i, j):
-    return f"({P.labels[i]!r}, {P.labels[j]!r})"
+    sets = not draw(st.integers(0, 2))
+    return poset_with_zero(rng, top, sets, pad and draw(st.booleans()))
 
 
 @settings(max_examples=200, deadline=None)
