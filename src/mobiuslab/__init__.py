@@ -12,9 +12,8 @@ from .instances import (Graph, boolean_lattice, chain, complete_graph,
                         partition_lattice, random_connected_graph,
                         random_graph, random_poset, random_tree,
                         subspace_lattice)
-from .inversion import (derangements, derangements_bruteforce, forward_down,
-                        forward_up, invert_down, invert_up,
-                        lindstrom_wilf_det)
+from .inversion import (derangements, derangements_bruteforce, forward_up,
+                        invert_down, invert_up, lindstrom_wilf_det)
 from .lattices import (Lattice, LatticeError, MeetSemilattice,
                        NotRankedError, basterfield_kelly_check, cutset_mobius,
                        dowling_complement_check, dowling_wilson_check,
@@ -23,14 +22,13 @@ from .lattices import (Lattice, LatticeError, MeetSemilattice,
                        is_semimodular, kung_check, modular_factorization,
                        point_deletion, top_heavy_check, walker_complement_check,
                        weisner_check, whitney_numbers, whitney_rank_sums)
-from .matroid import (AtomMatroid, broken_circuits, characteristic_polynomial,
-                      chromatic_oracle, chromatic_polynomial, circuits,
-                      codeword_weight_check, coloring_count, independents,
-                      nbc_counts, stirling_first_unsigned,
+from .matroid import (characteristic_polynomial, chromatic_oracle,
+                      chromatic_polynomial, codeword_weight_check,
+                      coloring_count, nbc_counts, stirling_first_unsigned,
                       whitney_theorem_check)
 from .nulldesigns import (restrict_to_interval, strength, support_lower_bound,
                           verify_support_theorem)
 from .posets import Poset, PosetError, poset_from_json, poset_to_json
-from .treedist import RootedTree, distance_matrix, tree_zeta, verify_tree
+from .treedist import RootedTree, distance_matrix, verify_tree
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -22,12 +22,6 @@ def forward_up(P, f):
     return [sum(f[y] for y in _bits(P.up[x])) for x in range(P.n)]
 
 
-def forward_down(P, f):
-    """g(x) = sum_{y <= x} f(y)."""
-    f = _as_values(P, f)
-    return [sum(f[y] for y in _bits(P.down[x])) for x in range(P.n)]
-
-
 def invert_up(P, g):
     """Recover f from its up-set sums g = zeta f by back-substitution:
     f(x) = g(x) - sum_{y > x} f(y), in reverse linear-extension order, so

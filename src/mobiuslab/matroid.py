@@ -1,8 +1,7 @@
-"""Matroid structure on the atoms of a geometric lattice: independence,
-circuits, broken-circuit counting, chromatic and characteristic
-polynomials, and the linear-code weight check."""
+"""Broken-circuit counting on the atoms of a geometric lattice, chromatic
+and characteristic polynomials, and the linear-code weight check."""
 
-from itertools import combinations, product
+from itertools import product
 
 from .guards import check_size
 from .instances import _Field, _sorted_poset, contraction_lattice
@@ -52,114 +51,24 @@ def monomial(coeff, degree):
     return poly_trim([0] * degree + [coeff])
 
 
-# -- the atom matroid ----------------------------------------------------
+# -- broken circuits of the atom matroid ---------------------------------
 
-class AtomMatroid:
-    """Rank function r(T) = lattice rank of the join of the atom set T."""
-
-    def __init__(self, L):
-        self.lattice = L
-        self.atoms = L.atoms()
-
-    @property
-    def rank(self):
-        return self.lattice.height
-
-    def subset_rank(self, T):
-        return self.lattice.rank[self.lattice.join_set(T)]
-
-    def is_independent(self, T):
-        T = list(T)
-        return self.subset_rank(T) == len(T)
-
-
-def rank_axioms_check(M):
-    """Spot-check the four rank axioms on all atom subsets."""
-    atoms = M.atoms
-    check_size("rank_axioms_check", 2 ** len(atoms), 2 ** 12)
-    subsets = []
-    for k in range(len(atoms) + 1):
-        subsets.extend(frozenset(c) for c in combinations(atoms, k))
-    r = {S: M.subset_rank(S) for S in subsets}
-    if r[frozenset()] != 0:
-        return False
-    if any(r[frozenset([p])] != 1 for p in atoms):
-        return False
-    for S in subsets:
-        for p in atoms:
-            if not r[S] <= r[S | {p}] <= r[S] + 1:
-                return False
-    for S in subsets:
-        for T in subsets:
-            if r[S] + r[T] < r[S | T] + r[S & T]:
-                return False
-    return True
-
-
-def independents(M):
-    """All independent atom subsets, grown one atom at a time."""
-    atoms = M.atoms
-    check_size("independents", len(atoms), 20)
-    out = [frozenset()]
-    layer = [((), M.lattice.zero)]
-    while layer:
-        nxt = []
-        for T, j in layer:
-            start = atoms.index(T[-1]) + 1 if T else 0
-            for p in atoms[start:]:
-                if M.lattice.poset.down[j] >> p & 1:
-                    continue
-                T2 = T + (p,)
-                nxt.append((T2, M.lattice.join(j, p)))
-                out.append(frozenset(T2))
-        layer = nxt
-    return out
-
-
-def circuits(M):
-    """Minimal dependent sets, as fundamental circuits of the
-    independent sets."""
-    atoms = M.atoms
-    check_size("circuits", len(atoms), 20)
-    found = set()
-    for I in independents(M):
-        jI = M.lattice.join_set(I)
-        for p in atoms:
-            if p in I or not M.lattice.poset.down[jI] >> p & 1:
-                continue
-            base = I | {p}
-            circuit = frozenset(
-                x for x in base
-                if jI == M.lattice.join_set(base - {x}))
-            found.add(circuit)
-    for C in found:
-        if M.is_independent(C) or not all(M.is_independent(C - {x})
-                                          for x in C):
-            raise ArithmeticError(f"{sorted(C)} is not a circuit")
-    return sorted(found, key=lambda C: (len(C), sorted(C)))
-
-
-def broken_circuits(M, order=None):
-    """Each circuit minus its least atom under the given total order."""
-    order = list(M.atoms) if order is None else list(order)
-    pos = {p: i for i, p in enumerate(order)}
-    return sorted({C - {min(C, key=pos.get)} for C in circuits(M)},
-                  key=lambda B: (len(B), sorted(B)))
-
-
-def nbc_counts(M, order=None):
-    """counts[k] = number of independent k-subsets containing no broken
-    circuit, from the closure operator: T contains one exactly when some
-    absent atom p lies under the join of the part of T after p.  Sets
-    grow by an atom a before their least one; the parts after the other
-    absent atoms keep their joins, so the one new condition is that no
-    atom before a lies under the new join.  a is not under the old join,
-    since that set had no broken circuit, so T stays independent."""
-    L = M.lattice
-    order = list(M.atoms) if order is None else list(order)
-    if sorted(order) != sorted(M.atoms):
+def nbc_counts(L, order=None):
+    """counts[k] = number of independent k-subsets of L's atoms that
+    contain no broken circuit, in the matroid whose rank of an atom set T
+    is the lattice rank of its join, with atoms ordered by order (the
+    index order by default).  From the closure operator: T contains a
+    broken circuit exactly when some absent atom p lies under the join of
+    the part of T after p.  Sets grow by an atom a before their least
+    one; the parts after the other absent atoms keep their joins, so the
+    one new condition is that no atom before a lies under the new join.
+    a is not under the old join, since that set had no broken circuit, so
+    T stays independent."""
+    atoms = L.atoms()
+    order = atoms if order is None else list(order)
+    if sorted(order) != atoms:
         raise ValueError("order is not a permutation of the atoms")
-    counts = [0] * (M.rank + 1)
+    counts = [0] * (L.height + 1)
     down = L.poset.down
 
     def extend(i, size, join):
@@ -178,8 +87,7 @@ def nbc_counts(M, order=None):
 def whitney_theorem_check(L):
     """Whitney's theorem: NBC counts equal the signed Whitney sums up to
     the alternating sign."""
-    M = AtomMatroid(L)
-    counts = nbc_counts(M)
+    counts = nbc_counts(L)
     w = whitney_rank_sums(L)
     expected = [(-1) ** k * w[k] for k in range(len(w))]
     return {"identity": "broken-circuit counting", "lhs": counts,

@@ -280,10 +280,6 @@ class Poset:
 
     # -- constructions ---------------------------------------------------
 
-    def dual(self):
-        arcs = [(j, i) for i, j in self.covers]
-        return Poset._from_arcs(list(self.labels), arcs)
-
     def product(self, other):
         labels = [(a, b) for a in self.labels for b in other.labels]
         pos = {lab: k for k, lab in enumerate(labels)}
@@ -308,12 +304,6 @@ class Poset:
                 for j in _bits(self.up[i] & mask ^ 1 << i)]
         return Poset._from_arcs(labels, arcs)
 
-    def interval(self, a, b):
-        i, j = self.idx(a), self.idx(b)
-        if not self.up[i] >> j & 1:
-            raise PosetError(f"{a!r} is not below {b!r}")
-        return self.restrict(_bits(self.up[i] & self.down[j]))
-
     def mobius_number(self, indices=None):
         """mu(0^, 1^) of the subposet induced on the given element indices
         (all of P by default) with a fresh bottom and top adjoined.
@@ -326,39 +316,6 @@ class Poset:
         n = self.n
         return -sum(_pull(n + 1, n, _bits(_mask(n, indices)),
                           [d | 1 << n for d in self.down]))
-
-    def is_isomorphic_brute(self, other):
-        """Order-isomorphism test by backtracking search (small posets)."""
-        if self.n != other.n:
-            return False
-        if (sorted(m.bit_count() for m in self.up)
-                != sorted(m.bit_count() for m in other.up)):
-            return False
-        inv = {}
-
-        def key(P, i):
-            return (P.up[i].bit_count(), P.down[i].bit_count())
-
-        def match(assigned):
-            if len(assigned) == self.n:
-                return True
-            i = len(assigned)
-            for j in range(other.n):
-                if j in inv or key(self, i) != key(other, j):
-                    continue
-                ok = all((other.up[j] >> j2 & 1) == (self.up[i] >> i2 & 1)
-                         and (other.up[j2] >> j & 1)
-                         == (self.up[i2] >> i & 1)
-                         for i2, j2 in assigned.items())
-                if ok:
-                    assigned[i] = j
-                    inv[j] = i
-                    if match(assigned):
-                        return True
-                    del assigned[i], inv[j]
-            return False
-
-        return match({})
 
     def __repr__(self):
         return f"Poset(n={self.n})"

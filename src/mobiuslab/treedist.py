@@ -65,13 +65,6 @@ class RootedTree:
                     stack.append(w)
         return cls(graph.n, root, parent)
 
-    def ancestors(self, i):
-        """Positions on the path from the root to position i, inclusive."""
-        out = [i]
-        while self.parent_pos[out[-1]] is not None:
-            out.append(self.parent_pos[out[-1]])
-        return out[::-1]
-
 
 def distance_matrix(T):
     """D[u][v] = number of edges on the path between u and v.  No vertex
@@ -84,20 +77,6 @@ def distance_matrix(T):
         for u in range(v):
             row[u] = D[u][v] = above[u] + 1
     return D
-
-
-def tree_zeta(T):
-    """Z[u][v] = 1 when u lies on the path from the root to v; unit
-    upper triangular in the breadth-first order."""
-    n = T.n
-    Z = [[0] * n for _ in range(n)]
-    for v in range(n):
-        for u in T.ancestors(v):
-            Z[u][v] = 1
-    if any(Z[i][i] != 1 or any(Z[i][:i]) for i in range(n)):
-        raise ArithmeticError("tree zeta matrix is not unit upper "
-                              "triangular in breadth-first order")
-    return Z
 
 
 def _zeta_congruence(T, M):

@@ -1,10 +1,14 @@
 """Oracles for the order kernel that share no code with it: reachability
 by depth-first search, Kahn's order by a linear scan for the smallest
 ready index, Mobius rows by back-substitution over frozensets, Hall's
-chain sums, chain counts by listing every chain, and joins and meets by
-searching the common bounds of a pair.  Imported by test_order_kernel.py,
-test_order_seeded.py, test_complexes.py, test_lattice_properties.py and
-test_lattice_seeded.py.
+chain sums, chain counts by listing every chain, joins and meets by
+searching the common bounds of a pair, order isomorphism by
+backtracking, and down-set sums.  Also the dual and the intervals of a
+poset, built through the public constructors.  Imported by
+test_acceptance.py, test_complexes.py, test_instances.py,
+test_inversion.py, test_lattice_properties.py, test_lattice_seeded.py,
+test_lattices.py, test_order_kernel.py, test_order_seeded.py and
+test_posets.py.
 """
 
 from mobiuslab.posets import Poset
@@ -13,6 +17,56 @@ from mobiuslab.posets import Poset
 def bits(mask):
     """Indices of the set bits of an order mask, in increasing order."""
     return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def forward_down(P, f):
+    """g(x) = sum of f(y) over y <= x, for f a list in P's index order."""
+    return [sum(f[y] for y in bits(P.down[x])) for x in range(P.n)]
+
+
+def dual(P):
+    """The opposite order on P's labels."""
+    return Poset.from_covers(P.labels, [(P.labels[j], P.labels[i])
+                                        for i, j in P.covers])
+
+
+def interval(P, a, b):
+    """The interval [a, b] of P, by labels, as a poset."""
+    i, j = P.idx(a), P.idx(b)
+    return P.restrict(bits(P.up[i] & P.down[j]))
+
+
+def is_isomorphic(P, Q):
+    """Order isomorphism by backtracking search (small posets)."""
+    if P.n != Q.n:
+        return False
+    if (sorted(m.bit_count() for m in P.up)
+            != sorted(m.bit_count() for m in Q.up)):
+        return False
+    inv = {}
+
+    def key(R, i):
+        return (R.up[i].bit_count(), R.down[i].bit_count())
+
+    def match(assigned):
+        if len(assigned) == P.n:
+            return True
+        i = len(assigned)
+        for j in range(Q.n):
+            if j in inv or key(P, i) != key(Q, j):
+                continue
+            ok = all((Q.up[j] >> j2 & 1) == (P.up[i] >> i2 & 1)
+                     and (Q.up[j2] >> j & 1) == (P.up[i2] >> i & 1)
+                     for i2, j2 in assigned.items())
+            if ok:
+                assigned[i] = j
+                inv[j] = i
+                if match(assigned):
+                    return True
+                del assigned[i], inv[j]
+        return False
+
+    return match({})
 
 
 def reachable(n, arcs):

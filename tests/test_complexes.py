@@ -2,17 +2,12 @@ import random
 
 import pytest
 
-from order_oracles import build, chain_f_vector, chains_by_length
+from order_oracles import bits, build, chain_f_vector, chains_by_length
 
 from mobiuslab import complexes
 from mobiuslab.instances import (boolean_lattice, chain, partition_lattice,
                                  random_poset, subspace_lattice)
 from mobiuslab.posets import Poset, PosetError
-
-
-def bits(mask):
-    """Indices of the set bits of an order mask, in increasing order."""
-    return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
 def test_order_complex_chain_counts():

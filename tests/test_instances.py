@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 import family_oracles as oracle
+from order_oracles import is_isomorphic
 from mobiuslab import lattices
 from mobiuslab.guards import SizeGuardError
 from mobiuslab.instances import (Graph, boolean_lattice, chain,
@@ -33,7 +34,7 @@ def test_boolean_lattice_structure():
     assert L.n == 8
     assert L.poset.labels[L.zero] == ""
     assert L.poset.labels[L.one] == "123"
-    assert boolean_lattice(1).poset.is_isomorphic_brute(chain(1))
+    assert is_isomorphic(boolean_lattice(1).poset, chain(1))
 
 
 def test_boolean_is_power_of_chains():
@@ -41,7 +42,7 @@ def test_boolean_is_power_of_chains():
         prod = chain(1)
         for _ in range(n - 1):
             prod = prod.product(chain(1))
-        assert boolean_lattice(n).poset.is_isomorphic_brute(prod)
+        assert is_isomorphic(boolean_lattice(n).poset, prod)
 
 
 def test_boolean_guard():
@@ -50,9 +51,8 @@ def test_boolean_guard():
 
 
 def test_divisor_lattice():
-    assert divisor_lattice(30).poset.is_isomorphic_brute(
-        boolean_lattice(3).poset)
-    assert divisor_lattice(8).poset.is_isomorphic_brute(chain(3))
+    assert is_isomorphic(divisor_lattice(30).poset, boolean_lattice(3).poset)
+    assert is_isomorphic(divisor_lattice(8).poset, chain(3))
     assert divisor_lattice(12).n == 6
     with pytest.raises(SizeGuardError):
         divisor_lattice(10 ** 6 + 1)
@@ -63,7 +63,7 @@ def test_divisor_product_decomposition():
         lhs = divisor_lattice(p_r * m).poset
         rhs = divisor_lattice(m).poset.product(
             divisor_lattice(p_r).poset)
-        assert lhs.is_isomorphic_brute(rhs)
+        assert is_isomorphic(lhs, rhs)
 
 
 def test_subspace_lattice_counts():
@@ -97,14 +97,14 @@ def test_partition_lattice():
 
 def test_contraction_lattice():
     K3 = complete_graph(3)
-    assert contraction_lattice(K3).poset.is_isomorphic_brute(
-        partition_lattice(3).poset)
+    assert is_isomorphic(contraction_lattice(K3).poset,
+                         partition_lattice(3).poset)
     K4 = complete_graph(4)
-    assert contraction_lattice(K4).poset.is_isomorphic_brute(
-        partition_lattice(4).poset)
+    assert is_isomorphic(contraction_lattice(K4).poset,
+                         partition_lattice(4).poset)
     tree = path_graph(4)
-    assert contraction_lattice(tree).poset.is_isomorphic_brute(
-        boolean_lattice(3).poset)
+    assert is_isomorphic(contraction_lattice(tree).poset,
+                         boolean_lattice(3).poset)
 
 
 def test_contraction_lattice_rank_is_vertices_minus_components():

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from order_oracles import bits, interval
 from mobiuslab import lattices
 from mobiuslab.instances import (boolean_lattice, chain, complete_graph,
                                  contraction_lattice, cycle_graph,
@@ -11,11 +12,6 @@ from mobiuslab.instances import (boolean_lattice, chain, complete_graph,
                                  partition_lattice, subspace_lattice)
 from mobiuslab.lattices import Lattice, LatticeError, NotRankedError
 from mobiuslab.posets import Poset
-
-
-def bits(mask):
-    """Indices of the set bits of an order mask, in increasing order."""
-    return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
 def test_non_lattice_witness():
@@ -531,7 +527,7 @@ def test_point_deletion():
 
 def test_interval_lattice():
     L = boolean_lattice(3)
-    sub = Lattice(L.poset.interval("1", "123"))
+    sub = Lattice(interval(L.poset, "1", "123"))
     assert sub.n == 4
 
 

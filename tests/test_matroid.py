@@ -4,6 +4,8 @@ from itertools import product
 import pytest
 
 import family_oracles as oracle
+from matroid_oracles import (broken_circuits, circuits, independents,
+                             rank_axioms_check, subset_rank)
 from mobiuslab import matroid
 from mobiuslab.guards import SizeGuardError
 from mobiuslab.instances import (Graph, _Field, boolean_lattice,
@@ -12,11 +14,9 @@ from mobiuslab.instances import (Graph, _Field, boolean_lattice,
                                  partition_lattice, random_connected_graph,
                                  random_graph, subspace_lattice)
 from mobiuslab.lattices import Lattice, whitney_numbers
-from mobiuslab.matroid import (AtomMatroid, broken_circuits,
-                               characteristic_polynomial, chromatic_oracle,
-                               chromatic_polynomial, circuits,
-                               codeword_weight_check, coloring_count,
-                               flats_lattice, independents, nbc_counts,
+from mobiuslab.matroid import (characteristic_polynomial, chromatic_oracle,
+                               chromatic_polynomial, codeword_weight_check,
+                               coloring_count, flats_lattice, nbc_counts,
                                poly_eval, stirling_first_unsigned)
 from mobiuslab.posets import Poset
 
@@ -33,58 +33,47 @@ def test_polynomial_helpers():
 
 
 def test_free_matroid():
-    M = AtomMatroid(boolean_lattice(3))
-    assert len(independents(M)) == 8
-    assert circuits(M) == []
-    assert nbc_counts(M) == [1, 3, 3, 1]
+    L = boolean_lattice(3)
+    assert len(independents(L)) == 8
+    assert circuits(L) == []
+    assert nbc_counts(L) == [1, 3, 3, 1]
 
 
 def test_triangle_circuit():
-    M = AtomMatroid(partition_lattice(3))
-    cs = circuits(M)
+    L = partition_lattice(3)
+    cs = circuits(L)
     assert len(cs) == 1 and len(cs[0]) == 3
-    assert len(broken_circuits(M)) == 1
-    assert nbc_counts(M) == [1, 3, 2]
+    assert len(broken_circuits(L)) == 1
+    assert nbc_counts(L) == [1, 3, 2]
 
 
 def test_projective_plane_circuits():
-    M = AtomMatroid(subspace_lattice(2, 2))
-    cs = circuits(M)
+    cs = circuits(subspace_lattice(2, 2))
     assert len(cs) == 1 and len(cs[0]) == 3
 
 
 def test_rank_axioms():
     for L in (boolean_lattice(3), partition_lattice(4),
               subspace_lattice(2, 3)):
-        assert matroid.rank_axioms_check(AtomMatroid(L))
-
-
-class _RankStub:
-    """A rank function on two atoms that breaks one axiom."""
-
-    def __init__(self, ranks):
-        self.atoms = [0, 1]
-        self.ranks = ranks
-
-    def subset_rank(self, T):
-        return self.ranks[len(T)]
+        assert rank_axioms_check(L.atoms(), lambda T: subset_rank(L, T))
 
 
 @pytest.mark.parametrize("ranks", [(1, 1, 2), (0, 2, 2), (0, 1, 3)])
 def test_rank_axioms_reject_bad_rank(ranks):
-    # r(empty) = 0, r(atom) = 1 and unit increase
-    assert matroid.rank_axioms_check(_RankStub(ranks)) is False
+    # a rank function on two atoms that breaks r(empty) = 0, r(atom) = 1
+    # or unit increase
+    assert rank_axioms_check([0, 1], lambda T: ranks[len(T)]) is False
 
 
 def test_nbc_counts_rejects_bad_order():
-    M = AtomMatroid(boolean_lattice(3))
+    L = boolean_lattice(3)
     with pytest.raises(ValueError, match="permutation of the atoms"):
-        nbc_counts(M, [M.atoms[0]] * 3)
+        nbc_counts(L, [L.atoms()[0]] * 3)
 
 
 def test_independents_guard():
     with pytest.raises(SizeGuardError):
-        independents(AtomMatroid(partition_lattice(7)))
+        independents(partition_lattice(7))
 
 
 def test_nbc_counts_match_whitney_sums():
@@ -92,31 +81,30 @@ def test_nbc_counts_match_whitney_sums():
     for L in (boolean_lattice(4), partition_lattice(4),
               subspace_lattice(2, 3),
               contraction_lattice(cycle_graph(4))):
-        M = AtomMatroid(L)
-        base = nbc_counts(M)
+        base = nbc_counts(L)
         w = [(-1) ** k * s
              for k, s in enumerate(matroid.whitney_rank_sums(L))]
         assert base == w
         for _ in range(5):
-            order = list(M.atoms)
+            order = L.atoms()
             rng.shuffle(order)
-            assert nbc_counts(M, order) == base
+            assert nbc_counts(L, order) == base
 
 
-def nbc_by_circuits(M, order):
+def nbc_by_circuits(L, order):
     """NBC counts by the circuit route: the independent sets that contain
     no broken circuit under the order."""
-    bcs = broken_circuits(M, order)
-    counts = [0] * (M.rank + 1)
-    for T in independents(M):
+    bcs = broken_circuits(L, order)
+    counts = [0] * (L.height + 1)
+    for T in independents(L):
         if not any(B <= T for B in bcs):
             counts[len(T)] += 1
     return counts
 
 
-def shuffled_orders(M, rng, k):
+def shuffled_orders(L, rng, k):
     for _ in range(k):
-        order = list(M.atoms)
+        order = L.atoms()
         rng.shuffle(order)
         yield order
 
@@ -124,9 +112,8 @@ def shuffled_orders(M, rng, k):
 def test_nbc_closure_route_matches_circuit_route():
     rng = random.Random(32)
     for L in (partition_lattice(4), subspace_lattice(2, 3)):
-        M = AtomMatroid(L)
-        for order in shuffled_orders(M, rng, 3):
-            assert nbc_by_circuits(M, order) == nbc_counts(M, order)
+        for order in shuffled_orders(L, rng, 3):
+            assert nbc_by_circuits(L, order) == nbc_counts(L, order)
 
 
 def test_nbc_counts_match_circuit_route_on_graphs():
@@ -136,15 +123,14 @@ def test_nbc_counts_match_circuit_route_on_graphs():
     for _ in range(15):
         n = rng.randrange(2, 7)
         e = rng.randrange(min(10, n * (n - 1) // 2) + 1)
-        M = AtomMatroid(contraction_lattice(
-            random_graph(n, e, rng.randrange(2 ** 30))))
-        for order in shuffled_orders(M, rng, 4):
-            assert nbc_by_circuits(M, order) == nbc_counts(M, order)
+        L = contraction_lattice(random_graph(n, e, rng.randrange(2 ** 30)))
+        for order in shuffled_orders(L, rng, 4):
+            assert nbc_by_circuits(L, order) == nbc_counts(L, order)
 
 
 def test_nbc_partition_lattice_stirling():
     for n in range(2, 6):
-        counts = nbc_counts(AtomMatroid(partition_lattice(n)))
+        counts = nbc_counts(partition_lattice(n))
         assert counts == [stirling_first_unsigned(n, n - k)
                           for k in range(n)]
 
@@ -178,11 +164,10 @@ def test_stirling_counts_permutation_cycles():
 
 def test_broken_circuit_complex_pure():
     for L in (partition_lattice(4), subspace_lattice(2, 3)):
-        M = AtomMatroid(L)
-        bcs = broken_circuits(M)
-        nbc_sets = [T for T in independents(M)
+        bcs = broken_circuits(L)
+        nbc_sets = [T for T in independents(L)
                     if not any(B <= T for B in bcs)]
-        top = [T for T in nbc_sets if len(T) == M.rank]
+        top = [T for T in nbc_sets if len(T) == L.height]
         for T in nbc_sets:
             assert any(T <= S for S in top)
 

@@ -16,7 +16,7 @@ from mobiuslab.instances import random_tree
 from mobiuslab.treedist import (RootedTree, distance_inverse_ok,
                                 distance_matrix, h_inverse_ok,
                                 scaled_distance_inverse, scaled_h_inverse,
-                                tree_zeta, verify_tree)
+                                verify_tree)
 
 
 def path(n, root=0):
@@ -46,11 +46,32 @@ def test_distance_matrix_small():
     assert distance_matrix(RootedTree(1, 0, [None])) == [[0]]
 
 
+def ancestors(T, i):
+    """Positions on the path from the root to position i, inclusive."""
+    out = [i]
+    while T.parent_pos[out[-1]] is not None:
+        out.append(T.parent_pos[out[-1]])
+    return out[::-1]
+
+
+def tree_zeta(T):
+    """Z[u][v] = 1 when u lies on the path from the root to v; unit
+    upper triangular, as the breadth-first order puts every vertex after
+    its ancestors."""
+    n = T.n
+    Z = [[0] * n for _ in range(n)]
+    for v in range(n):
+        for u in ancestors(T, v):
+            Z[u][v] = 1
+    assert all(Z[i][i] == 1 and not any(Z[i][:i]) for i in range(n))
+    return Z
+
+
 def root_path_distances(T):
     """D[u][v] = depth(u) + depth(v) - 2 depth(last common ancestor), by
     comparing the two root paths of every pair."""
     n = T.n
-    anc = [T.ancestors(i) for i in range(n)]
+    anc = [ancestors(T, i) for i in range(n)]
     D = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -312,17 +333,11 @@ def test_no_unused_imports():
     assert found == []
 
 
-# Definitions that no code in src/ calls, each kept for a reason.
+# Definitions that no command reaches, each kept for a reason; what they
+# read counts as reached.
 UNCALLED = (
-    ("is_isomorphic_brute", "oracle: order isomorphism by backtracking"),
-    ("forward_down", "oracle: the down-sums that invert_down undoes"),
-    ("rank_axioms_check", "oracle: the matroid rank axioms by brute force"),
-    ("broken_circuits", "oracle: broken circuits listed from circuits"),
-    ("tree_zeta", "oracle: the dense zeta matrix of D = Z^T H Z"),
-    ("dual", "construction: the opposite order"),
-    ("interval", "construction: the interval [a, b] as a poset"),
-    ("product", "construction: the product order, used by the tests' "
-     "decomposition checks"),
+    ("product", "construction: the product order, waiting for the "
+     "product-theorem row of verify-all"),
     ("retract_check", "order-map identity, not yet a verify-all row"),
     ("verify_ideal_decomposition",
      "order-map identity, not yet a verify-all row"),
@@ -345,27 +360,64 @@ def foreign_names(tree):
     return out
 
 
+def is_definition(node):
+    return (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("__"))
+
+
+def own_reads(node, foreign):
+    """Names and attributes that the code of node loads, leaving out the
+    definitions inside it, which are reached by their own names; a
+    dunder method's loads count as its class's."""
+    out = set()
+    todo = list(ast.iter_child_nodes(node))
+    while todo:
+        child = todo.pop()
+        if is_definition(child):
+            continue
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            if child.id not in foreign:
+                out.add(child.id)
+        elif (isinstance(child, ast.Attribute)
+              and isinstance(child.ctx, ast.Load)):
+            out.add(child.attr)
+        todo.extend(ast.iter_child_nodes(child))
+    return out
+
+
+def reached(reads, start):
+    """The names reached from start by following what each definition of
+    a name reads."""
+    seen, todo = set(), list(start)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(reads.get(name, ()))
+    return seen
+
+
 def test_no_dead_definitions():
-    # every def and class in src/ (dunders and __init__ aside) is read
-    # somewhere in src/ as a name or an attribute, or is listed above; a
-    # read of a name imported from outside mobiuslab (itertools' product)
-    # is not a read of a mobiuslab definition
-    defined, read = {}, set()
+    # Every def and class in src/ (dunders and __init__ aside) is reached
+    # from the code that runs at import, cli.py's command table and its
+    # __main__ guard among it, or from an UNCALLED entry, by following
+    # name and attribute loads from definition to definition.  Names are
+    # matched by name only, and a load of a name imported from outside
+    # mobiuslab (itertools' product) is not a load of a definition.
+    reads, where, roots = {}, {}, set()
     for path in sorted(Path(treedist.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
         tree = ast.parse(path.read_text())
         foreign = foreign_names(tree)
+        roots |= own_reads(tree, foreign)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                if node.id not in foreign:
-                    read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and path.name != "__init__.py"
-                  and not node.name.startswith("__")):
-                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
-    dead = {name for name in defined if name not in read}
+            if is_definition(node):
+                reads.setdefault(node.name, set()).update(
+                    own_reads(node, foreign))
+                where.setdefault(node.name, f"{path.name}:{node.lineno}")
     kept = {name for name, _ in UNCALLED}
-    assert sorted(f"{defined[name]} {name}" for name in dead - kept) == []
-    # an entry whose name is now read, or gone, is stale
-    assert kept - dead == set()
+    dead = set(reads) - reached(reads, roots | kept)
+    assert sorted(f"{where[name]} {name}" for name in dead) == []
+    # an entry that a command reaches, or that is gone, is stale
+    assert sorted(kept & reached(reads, roots) | kept - set(reads)) == []
