@@ -12,6 +12,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 
 from . import complexes, instances, inversion, lattices, matroid
@@ -51,6 +52,10 @@ def _load_poset(path):
     return P
 
 
+# int() would also take "+1", "2_0" and non-ASCII digits
+_VERTEX = re.compile("-?[0-9]+")
+
+
 def _load_graph(path):
     edges = []
     top = -1
@@ -64,11 +69,10 @@ def _load_graph(path):
                 if len(parts) != 2:
                     raise InputError(f"{path}: line {lineno}: expected "
                                      "'u v'")
-                try:
-                    u, v = int(parts[0]), int(parts[1])
-                except ValueError:
+                if not all(map(_VERTEX.fullmatch, parts)):
                     raise InputError(f"{path}: line {lineno}: vertices "
                                      "must be integers")
+                u, v = int(parts[0]), int(parts[1])
                 edges.append((u, v))
                 top = max(top, u, v)
     except OSError as e:

@@ -9,8 +9,10 @@ computed size estimate.  Every limit is a constant.
 # on integers of O(n) bits; `tree --n 300` takes about 4 s.
 TREE_VERTICES = 300
 
-# Element limit of posets read from JSON. The up- and down-set masks
-# take up to n^2/8 bytes each; 10^5 is the largest family `gen` emits
+# Element limit of posets read from JSON. It bounds elements, not bytes:
+# the up- and down-set masks take up to n^2/8 bytes each, and `mu` on
+# antichains of 10^4 and 4*10^4 elements peaked at 32 and 237 MB, so
+# 10^5 elements come near 1.4 GB. 10^5 is the largest family `gen` emits
 # (subspace and contraction lattices), so every `gen` output loads.
 POSET_ELEMENTS = 10 ** 5
 

@@ -99,7 +99,8 @@ class Poset:
         a list of (lo, hi) label pairs.
 
         Pairs that turn out to be transitively implied are reduced away;
-        the stored covers are always the transitive reduction.
+        the stored covers are always the transitive reduction.  Each pair
+        is read once, straight into Kahn's successor lists.
         """
         labels = list(labels)
         index = {}
@@ -111,20 +112,36 @@ class Poset:
                 raise PosetError(f"elements[{i}] is an unhashable label "
                                  f"{lab!r}") from None
             index[lab] = i
+        succ = [[] for _ in labels]
+        indeg = [0] * len(labels)
         try:
-            arcs = [(index[lo], index[hi]) for lo, hi in covers]
+            for lo, hi in covers:
+                j = index[hi]
+                succ[index[lo]].append(j)
+                indeg[j] += 1
             # a two-letter string unpacks as a pair too
             if not {*map(type, covers)} <= {list, tuple}:
                 raise TypeError
         except (KeyError, TypeError, ValueError):
             raise PosetError(_cover_error(index, covers)) from None
-        return cls._from_arcs(labels, arcs)
+        return cls._from_succ(labels, succ, indeg)
 
     @classmethod
     def _from_arcs(cls, labels, arcs):
         """Finalize a poset given index arcs whose transitive closure is
-        the intended strict order, in one reduce-and-close pass
-        (Goralcikova and Koubek, 1979), here on the down side.
+        the intended strict order."""
+        succ = [[] for _ in labels]
+        indeg = [0] * len(labels)
+        for i, j in arcs:
+            succ[i].append(j)
+            indeg[j] += 1
+        return cls._from_succ(labels, succ, indeg)
+
+    @classmethod
+    def _from_succ(cls, labels, succ, indeg):
+        """Finalize a poset given each element's successor list and
+        in-degree, in one reduce-and-close pass (Goralcikova and Koubek,
+        1979), here on the down side.
 
         The linear extension is Kahn's, always placing the smallest ready
         index; as it walks the arcs it also gathers, for each element,
@@ -136,11 +153,6 @@ class Poset:
         removed from the mask, so an implied arc costs no OR.  up is
         pushed back along the covers only."""
         n = len(labels)
-        succ = [[] for _ in range(n)]
-        indeg = [0] * n
-        for i, j in arcs:
-            succ[i].append(j)
-            indeg[j] += 1
         # a repeated arc counts once per copy on both sides; a self-loop
         # keeps its element from ever being ready
         ready = [i for i in range(n) if not indeg[i]]

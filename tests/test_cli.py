@@ -358,6 +358,21 @@ def test_chromatic_bad_graph(capsys, tmp_path):
     assert code == 2 and "line 1" in err
 
 
+@pytest.mark.parametrize("token", ["2_0", "+1", "\u0663", "\uff11"])
+def test_graph_vertices_are_plain_decimals(capsys, tmp_path, token):
+    gpath = tmp_path / "bad.txt"
+    gpath.write_text(f"0 1\n1 {token}\n", encoding="utf-8")
+    assert run(capsys, "chromatic", "--graph", str(gpath)) == (
+        2, "", f"error: {gpath}: line 2: vertices must be integers\n")
+
+
+def test_graph_negative_vertex_is_missing(capsys, tmp_path):
+    gpath = tmp_path / "neg.txt"
+    gpath.write_text("0 -1\n")
+    assert run(capsys, "chromatic", "--graph", str(gpath)) == (
+        2, "", f"error: {gpath}: edge (0,-1) references a missing vertex\n")
+
+
 def test_charpoly_and_whitney(capsys, b3):
     code, obj, _ = run_json(capsys, "charpoly", "--poset", b3)
     assert code == 0
@@ -443,6 +458,13 @@ def test_malformed_json(capsys, tmp_path):
     # cycle and has no successor
     ("cab", [["a", "b"], ["b", "a"], ["b", "c"]],
      "cycle detected: a < b < a"),
+    # every pair is read before the cycle is looked for
+    ("abc", [["a", "b"], ["b", "a"], ["a", "z"]],
+     "unknown label 'z' in covers"),
+    ("abc", [["a", "z"], "bc"], "unknown label 'z' in covers"),
+    ("abc", [[]], "covers[0] is not a pair of labels"),
+    ("abc", [["a", "b"], ["b", "a"], 7], "covers[2] is not a pair of labels"),
+    ("abc", {"a": "b"}, "'covers' is not a list of pairs"),
 ])
 def test_bad_covers_named(capsys, tmp_path, elements, covers, message):
     path = tmp_path / "bad.json"
@@ -459,6 +481,9 @@ def test_bad_covers_named(capsys, tmp_path, elements, covers, message):
     ([[1], 2], "elements[0] is an unhashable label [1]"),
     (["a", {"b": 1}], "elements[1] is an unhashable label {'b': 1}"),
     (["a", "a"], "duplicate label 'a'"),
+    (["a", "a", [1]], "duplicate label 'a'"),
+    ([[1], "a", "a"], "elements[0] is an unhashable label [1]"),
+    ([1, True], "duplicate label True"),
 ])
 def test_bad_elements_named(capsys, tmp_path, elements, message):
     path = tmp_path / "bad.json"

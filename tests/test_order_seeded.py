@@ -57,6 +57,9 @@ def test_closure_covers_and_linear_extension(n, density):
     covers = sorted((i, j) for i in range(n) for j in up[i]
                     if j != i and len(up[i] & down[j]) == 2)
     assert P.covers == covers
+    Q = Poset._from_arcs(labels, index_arcs)
+    assert (Q.labels, Q.up, Q.down, Q.covers) == (P.labels, P.up, P.down,
+                                                   P.covers)
 
 
 @pytest.mark.parametrize("n, density", CASES)
