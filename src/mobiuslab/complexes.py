@@ -62,11 +62,12 @@ class MonotoneMap:
         self.source = source
         self.target = target
         self.images = [target.idx(lab) for lab in assignment]
-        for i, j in source.covers:
-            if not target.up[self.images[i]] >> self.images[j] & 1:
-                raise PosetError(
-                    f"map is not order-preserving at "
-                    f"{source.labels[i]!r} <= {source.labels[j]!r}")
+        for i, cov in enumerate(source.upper):
+            for j in cov:
+                if not target.up[self.images[i]] >> self.images[j] & 1:
+                    raise PosetError(
+                        f"map is not order-preserving at "
+                        f"{source.labels[i]!r} <= {source.labels[j]!r}")
 
     def fibre_below(self, y):
         """Indices of source elements mapped into the down-set of y."""
@@ -81,16 +82,13 @@ def random_monotone_map(P, Q, seed):
     import random
     rng = random.Random(seed)
     images = [None] * P.n
-    below = {}
-    for i, j in P.covers:
-        below.setdefault(j, []).append(i)
     # confining images to the down-set of one maximal element keeps the
     # set of valid choices nonempty at every step
     maximal = [i for i in range(Q.n) if Q.up[i] == 1 << i]
     ceiling = Q.down[rng.choice(maximal)]
     for x in range(P.n):
         allowed = ceiling
-        for y in below.get(x, []):
+        for y in P.lower[x]:
             allowed &= Q.up[images[y]]
         images[x] = rng.choice(list(_bits(allowed)))
     return MonotoneMap(P, Q, [Q.labels[i] for i in images])
@@ -168,13 +166,9 @@ def dismantle(P):
     current = P
     deletions = []
     while current.n > 1:
-        cover_down = [0] * current.n
-        cover_up = [0] * current.n
-        for i, j in current.covers:
-            cover_up[i] += 1
-            cover_down[j] += 1
         victim = next((x for x in range(current.n)
-                       if cover_down[x] == 1 or cover_up[x] == 1), None)
+                       if len(current.lower[x]) == 1
+                       or len(current.upper[x]) == 1), None)
         if victim is None:
             break
         deletions.append(current.labels[victim])

@@ -4,7 +4,7 @@ graphs."""
 
 import random
 from bisect import bisect_left
-from itertools import combinations
+from itertools import combinations, product
 
 from .guards import TREE_VERTICES, check_size
 from .lattices import Lattice
@@ -150,66 +150,85 @@ def gaussian_binomial(n, k, q):
     return num // den
 
 
-def subspace_lattice(q, n):
-    """Subspaces of GF(q)^n ordered by containment, labeled by canonical
-    reduced-row-echelon bases.
+def _digits(code, width, q):
+    """The base-q digits of an int code, most significant first."""
+    return [code // q ** (width - 1 - i) % q for i in range(width)]
 
-    A vector is its int code in base q, first coordinate most
-    significant, so code order is tuple order.  A subspace is a mask over
-    the q^n codes.  Its upper covers are the spans of it and one more
-    vector v, and each is spanned once: a v inside a span already found
-    from the same subspace would give that span again."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    F = _Field(q)
-    total = sum(gaussian_binomial(n, k, q) for k in range(n + 1))
-    check_size("subspace_lattice", total, 10 ** 5)
 
-    def digits(code, width):
-        return [code // q ** (width - 1 - i) % q for i in range(width)]
+def _span_flats(F, n, points):
+    """The flats of a list of nonzero vectors of GF(q)^n, the points,
+    grown from the span of none.  Returns each flat's span as a sorted
+    list of int codes, its mask of the positions of the points inside
+    it, and the cover arcs between the flats' indices.
 
-    def code_of(digs):
+    A vector's code is its number in base q, first coordinate most
+    significant, so code order is tuple order.  The upper covers of a
+    flat are its spans with one more point v, and each is spanned once:
+    a v inside a span already found from the same flat would give that
+    span again."""
+    q = F.q
+
+    def code_of(digits):
         code = 0
-        for x in digs:
+        for x in digits:
             code = code * q + x
         return code
 
     # u + v = high[u // low][v // low] + lows[u % low][v % low]: two
-    # tables over half the coordinates each, not one over all q^(2n) pairs
+    # tables over half the coordinates each, not one over all q^(2n)
+    # pairs; high, the larger, holds q^(2 ceil(n/2)) entries
+    check_size("span add table", q ** (2 * (n - n // 2)), 10 ** 6)
+
     def add_table(width, scale):
-        vecs = [digits(c, width) for c in range(q ** width)]
+        vecs = [_digits(c, width, q) for c in range(q ** width)]
         return [[scale * code_of(map(F.add, a, b)) for b in vecs]
                 for a in vecs]
 
     low = q ** (n // 2)
     high, lows = add_table(n - n // 2, low), add_table(n // 2, 1)
-    size = q ** n
-    # the nonzero multiples c * v of each vector v
-    multiples = [[code_of(F.mul(c, x) for x in digits(v, n))
-                  for c in range(1, q)] for v in range(size)]
+    # the nonzero multiples c * v of each point v
+    multiples = [[code_of(F.mul(c, x) for x in v) for c in range(1, q)]
+                 for v in points]
+    # where[code] = the mask of the positions of the points with that code
+    where = [0] * q ** n
+    for p, v in enumerate(points):
+        where[code_of(v)] |= 1 << p
 
-    every = (1 << size) - 1
-    masks, spaces, arcs = [1], [[0]], []
-    index = {1: 0}
-    for i, S in enumerate(spaces):  # spaces grows as spans are found
+    every = (1 << len(points)) - 1
+    masks, spans, arcs = [0], [[0]], []
+    index = {0: 0}
+    for i, S in enumerate(spans):  # spans grows as covers are found
         free = every & ~masks[i]
         while free:
-            v = (free & -free).bit_length() - 1
+            p = (free & -free).bit_length() - 1
             T = list(S)
-            for w in multiples[v]:
+            for w in multiples[p]:
                 hw, lw = high[w // low], lows[w % low]
                 T += [hw[s // low] + lw[s % low] for s in S]
             mask = 0
             for t in T:
-                mask |= 1 << t
+                mask |= where[t]
             free &= ~mask
             j = index.get(mask)
             if j is None:
-                j = index[mask] = len(spaces)
+                j = index[mask] = len(spans)
                 masks.append(mask)
                 T.sort()
-                spaces.append(T)
+                spans.append(T)
             arcs.append((i, j))
+    return spans, masks, arcs
+
+
+def subspace_lattice(q, n):
+    """Subspaces of GF(q)^n ordered by containment, labeled by canonical
+    reduced-row-echelon bases: the flats of all nonzero vectors."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    F = _Field(q)
+    total = sum(gaussian_binomial(n, k, q) for k in range(n + 1))
+    check_size("subspace_lattice", total, 10 ** 5)
+    vectors = list(product(range(q), repeat=n))
+    spaces, _, arcs = _span_flats(F, n, vectors[1:])
     if len(spaces) != total:
         raise ArithmeticError(f"found {len(spaces)} subspaces of "
                               f"GF({q})^{n}, expected {total}")
@@ -224,7 +243,7 @@ def subspace_lattice(q, n):
             lead = q ** (n - 1 - col)
             k = bisect_left(S, lead)
             if k < len(S) and S[k] < 2 * lead:
-                rows.append("".join(map(str, digits(S[k], n))))
+                rows.append("".join(map(str, _digits(S[k], n, q))))
         return ",".join(rows)
 
     labels = [rref_label(S) for S in spaces]
@@ -270,33 +289,13 @@ def _bell(n, limit):
 
 
 def partition_lattice(n):
-    """Partitions of an n-set under refinement; 0 is the discrete
-    partition and 1 the single block.  Labels are RGS strings."""
+    """Partitions of an n-set under refinement, the contraction lattice
+    of K_n; 0 is the discrete partition and 1 the single block.  Labels
+    are RGS strings."""
     if n < 1:
         raise ValueError("n must be positive")
     check_size("partition_lattice", n, 9)
-    parts = []
-
-    def rec(x, blocks):
-        # lexicographic RGS order: x joins each block, then opens a new one
-        if x == n:
-            parts.append(tuple(blocks))
-            return
-        bit = 1 << x
-        for k in range(len(blocks)):
-            blocks[k] |= bit
-            rec(x + 1, blocks)
-            blocks[k] ^= bit
-        blocks.append(bit)
-        rec(x + 1, blocks)
-        blocks.pop()
-
-    rec(0, [])
-    index = {p: i for i, p in enumerate(parts)}
-    arcs = [(i, index[_merge(p, a, b)]) for i, p in enumerate(parts)
-            for a, b in combinations(range(len(p)), 2)]
-    labels = ["".join(map(str, _rgs_digits(p, n))) for p in parts]
-    return Lattice(Poset._from_arcs(labels, arcs))
+    return contraction_lattice(complete_graph(n))
 
 
 def contraction_lattice(G):

@@ -17,17 +17,6 @@ class NotRankedError(LatticeError):
     pass
 
 
-def _cover_pairs(n, covers):
-    """Each pair x != y of elements that cover a common element, given
-    the cover pairs (c, x); given them reversed, the pairs covered by a
-    common element."""
-    above = [[] for _ in range(n)]
-    for c, x in covers:
-        above[c].append(x)
-    for xs in above:
-        yield from combinations(xs, 2)
-
-
 def _extremes(sets):
     """The elements whose set holds only themselves: the minimal ones
     given the down-sets, the maximal ones given the up-sets."""
@@ -67,7 +56,7 @@ class MeetSemilattice:
         up = P.up
         joins = {*up, 0}
         if any(up[x] & up[y] not in joins
-               for x, y in _cover_pairs(n, P.covers)):
+               for xs in P.upper for x, y in combinations(xs, 2)):
             own = {*sets, 0}
             i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
                         if sets[i] & sets[j] not in own)
@@ -120,11 +109,12 @@ class Lattice(MeetSemilattice):
         if self._rank is None:
             P = self.poset
             r = P.heights()
-            for i, j in P.covers:
-                if r[j] != r[i] + 1:
-                    raise NotRankedError(
-                        "unequal maximal chains below witness pair "
-                        f"({P.labels[i]!r}, {P.labels[j]!r})")
+            for i, cov in enumerate(P.upper):
+                for j in cov:
+                    if r[j] != r[i] + 1:
+                        raise NotRankedError(
+                            "unequal maximal chains below witness pair "
+                            f"({P.labels[i]!r}, {P.labels[j]!r})")
             self._rank = tuple(r)
         return self._rank
 
@@ -133,10 +123,10 @@ class Lattice(MeetSemilattice):
         return self.rank[self.one]
 
     def atoms(self):
-        return sorted(j for i, j in self.poset.covers if i == self.zero)
+        return list(self.poset.upper[self.zero])
 
     def coatoms(self):
-        return sorted(i for i, j in self.poset.covers if j == self.one)
+        return list(self.poset.lower[self.one])
 
     def complements(self, a):
         return [x for x in range(self.n)
@@ -152,20 +142,21 @@ class Lattice(MeetSemilattice):
 # -- predicates ----------------------------------------------------------
 
 def _semimodular_side(L, covers, bound):
-    """True iff, whenever x != y both cover some c in the cover pairs
-    (c, x), bound(x, y) covers both x and y in them."""
-    covers = set(covers)
-    for x, y in _cover_pairs(L.n, covers):
-        z = bound(x, y)
-        if (x, z) not in covers or (y, z) not in covers:
-            return False
+    """True iff, whenever x != y both lie in some list covers[c],
+    bound(x, y) lies in covers[x] and in covers[y].  Given the upper
+    cover lists, x and y cover c and bound(x, y) covers both."""
+    for xs in covers:
+        for x, y in combinations(xs, 2):
+            z = bound(x, y)
+            if z not in covers[x] or z not in covers[y]:
+                return False
     return True
 
 
 def is_semimodular(L):
     """Upper semimodularity by the local criterion (Stanley, EC1 Prop.
     3.3.2): whenever x != y both cover some c, x v y covers both."""
-    return _semimodular_side(L, L.poset.covers, L.join)
+    return _semimodular_side(L, L.poset.upper, L.join)
 
 
 def is_atomistic(L):
@@ -193,7 +184,7 @@ def is_modular_element(L, a):
 def is_lower_semimodular(L):
     """The dual criterion: whenever x != y are both covered by some c,
     both cover x ^ y."""
-    return _semimodular_side(L, [(j, i) for i, j in L.poset.covers], L.meet)
+    return _semimodular_side(L, L.poset.lower, L.meet)
 
 
 def is_modular_lattice(L):
@@ -266,18 +257,16 @@ def is_cutset(L, cut):
     cut = set(cut)
     if L.zero in cut:
         return None
-    succ = {}
-    for i, j in L.poset.covers:
-        succ.setdefault(i, []).append(j)
+    upper = L.poset.upper
     seen = {L.zero}
     chain = [L.zero]
-    pending = [iter(succ.get(L.zero, ()))]
+    pending = [iter(upper[L.zero])]
     while chain[-1] != L.one:
         for y in pending[-1]:
             if y not in cut and y not in seen:
                 seen.add(y)
                 chain.append(y)
-                pending.append(iter(succ.get(y, ())))
+                pending.append(iter(upper[y]))
                 break
         else:
             chain.pop()
@@ -491,14 +480,12 @@ def basterfield_kelly_check(L):
 def join_irreducibles(L):
     """Elements covering at most one element, 0 included: x is the join
     of two elements other than x iff it covers two or more."""
-    below = Counter(j for _, j in L.poset.covers)
-    return [x for x in range(L.n) if below[x] <= 1]
+    return [x for x, cov in enumerate(L.poset.lower) if len(cov) <= 1]
 
 
 def meet_irreducibles(L):
     """Elements covered by at most one element, 1 included."""
-    above = Counter(i for i, _ in L.poset.covers)
-    return [x for x in range(L.n) if above[x] <= 1]
+    return [x for x, cov in enumerate(L.poset.upper) if len(cov) <= 1]
 
 
 def kung_check(L, k):

@@ -4,8 +4,9 @@ and characteristic polynomials, and the linear-code weight check."""
 from itertools import product
 
 from .guards import check_size
-from .instances import _Field, _sorted_poset, contraction_lattice
+from .instances import _Field, _sorted_poset, _span_flats, contraction_lattice
 from .lattices import Lattice, whitney_rank_sums
+from .posets import _bits
 
 
 # -- integer polynomials, ascending coefficients -------------------------
@@ -165,40 +166,13 @@ def coloring_count(G, k):
 
 def flats_lattice(generator, q):
     """Lattice of closed column sets of the generator matrix, labeled by
-    sorted column tuples: a flat is the columns inside a GF(q) span, and
-    its covers come from its span plus one more column v, each found once
-    (a v inside a cover found from the same flat gives that cover)."""
+    sorted column tuples: a flat is the columns inside a GF(q) span."""
     F = _Field(q)
-    k = len(generator)
-    ncols = len(generator[0])
-    columns = [tuple(generator[i][j] for i in range(k))
-               for j in range(ncols)]
-    if any(all(x == 0 for x in col) for col in columns):
+    columns = list(zip(*generator))
+    if not all(map(any, columns)):
         raise ValueError("zero column in generator matrix")
-
-    def flat(span):
-        return tuple(j for j in range(ncols) if columns[j] in span)
-
-    spans = [{(0,) * k}]
-    flats = [()]  # no column is zero
-    index = {(): 0}
-    arcs = []
-    for i, S in enumerate(spans):  # spans grows as covers are found
-        free = [j for j in range(ncols) if j not in flats[i]]
-        while free:
-            v = columns[free[0]]
-            T = set(S)
-            for c in range(1, q):
-                cv = [F.mul(c, x) for x in v]
-                T.update(tuple(map(F.add, s, cv)) for s in S)
-            cover = flat(T)
-            free = [j for j in free if j not in cover]
-            t = index.get(cover)
-            if t is None:
-                t = index[cover] = len(flats)
-                flats.append(cover)
-                spans.append(T)
-            arcs.append((i, t))
+    _, masks, arcs = _span_flats(F, len(generator), columns)
+    flats = [tuple(_bits(m)) for m in masks]
     keys = [(len(C), C) for C in flats]
     return Lattice(_sorted_poset(keys, flats, arcs))
 

@@ -78,10 +78,12 @@ class Poset:
         up:     up[i] = int bitmask of the j with labels[i] <= labels[j]
                 (bit i included)
         down:   down[i] = int bitmask of the j with labels[j] <= labels[i]
-        covers: index pairs (i, j), the transitive reduction of the order
+        upper:  upper[i] = the j that cover i, increasing; together the
+                covers are the transitive reduction of the order
+        lower:  lower[j] = the i that j covers, increasing
     """
 
-    def __init__(self, labels, up, down, covers):
+    def __init__(self, labels, up, down, upper, lower):
         self.labels = list(labels)
         self.n = len(self.labels)
         self.index = {lab: i for i, lab in enumerate(self.labels)}
@@ -89,7 +91,8 @@ class Poset:
             raise PosetError("duplicate label")
         self.up = up
         self.down = down
-        self.covers = covers
+        self.upper = upper
+        self.lower = lower
 
     # -- construction ---------------------------------------------------
 
@@ -170,24 +173,27 @@ class Poset:
         if len(topo) < n:
             cls._report_cycle(labels, succ, topo)
         down = [0] * n
-        upper = [[] for _ in range(n)]  # upper covers, increasing
+        upper = [[] for _ in range(n)]
+        lower = []
         for j in range(n):
             left = below[topo[j]]
             d = 1 << j
+            cov = []
             while left:
                 i = left.bit_length() - 1
                 upper[i].append(j)
+                cov.append(i)
                 d |= down[i]
                 left &= ~down[i]
             down[j] = d
+            lower.append(cov[::-1])  # peeled highest first
         up = [1 << i for i in range(n)]
         for i in reversed(range(n)):
             u = up[i]
             for j in upper[i]:
                 u |= up[j]
             up[i] = u
-        covers = [(i, j) for i, cov in enumerate(upper) for j in cov]
-        return cls([labels[i] for i in topo], up, down, covers)
+        return cls([labels[i] for i in topo], up, down, upper, lower)
 
     @staticmethod
     def _report_cycle(labels, succ, placed):
@@ -235,9 +241,9 @@ class Poset:
 
     def heights(self):
         """Per-element longest-chain-from-a-minimal-element lengths."""
-        h = [0] * self.n
-        for i, j in self.covers:
-            h[j] = max(h[j], h[i] + 1)
+        h = []
+        for cov in self.lower:
+            h.append(max([h[i] for i in cov], default=-1) + 1)
         return h
 
     # -- incidence matrices ----------------------------------------------
@@ -296,14 +302,16 @@ class Poset:
         labels = [(a, b) for a in self.labels for b in other.labels]
         pos = {lab: k for k, lab in enumerate(labels)}
         arcs = []
-        for (i, j) in self.covers:
-            for b in other.labels:
-                arcs.append((pos[(self.labels[i], b)],
-                             pos[(self.labels[j], b)]))
-        for (i, j) in other.covers:
-            for a in self.labels:
-                arcs.append((pos[(a, other.labels[i])],
-                             pos[(a, other.labels[j])]))
+        for i, cov in enumerate(self.upper):
+            for j in cov:
+                for b in other.labels:
+                    arcs.append((pos[(self.labels[i], b)],
+                                 pos[(self.labels[j], b)]))
+        for i, cov in enumerate(other.upper):
+            for j in cov:
+                for a in self.labels:
+                    arcs.append((pos[(a, other.labels[i])],
+                                 pos[(a, other.labels[j])]))
         return Poset._from_arcs(labels, arcs)
 
     def restrict(self, indices):
@@ -337,7 +345,8 @@ class Poset:
 
 def poset_to_json(P):
     return {"elements": list(P.labels),
-            "covers": [[P.labels[i], P.labels[j]] for i, j in P.covers]}
+            "covers": [[P.labels[i], P.labels[j]]
+                       for i, cov in enumerate(P.upper) for j in cov]}
 
 
 def _cover_error(index, covers):

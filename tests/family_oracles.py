@@ -219,5 +219,5 @@ def flats_lattice(generator, q):
 
 def same_order(P, Q):
     """The fields that fix a poset and every byte the CLI prints of it."""
-    return (P.labels, P.up, P.down, P.covers) == (
-        Q.labels, Q.up, Q.down, Q.covers)
+    return (P.labels, P.up, P.down, P.upper, P.lower) == (
+        Q.labels, Q.up, Q.down, Q.upper, Q.lower)

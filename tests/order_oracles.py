@@ -27,7 +27,32 @@ def forward_down(P, f):
 def dual(P):
     """The opposite order on P's labels."""
     return Poset.from_covers(P.labels, [(P.labels[j], P.labels[i])
-                                        for i, j in P.covers])
+                                        for i, j in cover_pairs(P)])
+
+
+def cover_pairs(P):
+    """P's cover pairs (i, j), read off its upper cover lists: i
+    increasing, then j."""
+    return [(i, j) for i, cov in enumerate(P.upper) for j in cov]
+
+
+def scan_heights(n, pairs):
+    """Each element's longest chain up from a minimal one, by one scan
+    of the cover pairs (i, j) in increasing order."""
+    h = [0] * n
+    for i, j in pairs:
+        h[j] = max(h[j], h[i] + 1)
+    return h
+
+
+def scan_atoms(pairs, zero):
+    """The elements covering zero, by a scan of the cover pairs."""
+    return sorted(j for i, j in pairs if i == zero)
+
+
+def scan_coatoms(pairs, one):
+    """The elements covered by one, by a scan of the cover pairs."""
+    return sorted(i for i, j in pairs if j == one)
 
 
 def interval(P, a, b):

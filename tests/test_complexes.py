@@ -39,7 +39,7 @@ def test_f_vector_matches_chain_listing():
         for _ in range(3):
             keep = {x for x in everything if rng.random() < 0.6}
             assert (complexes.order_complex(P, keep)
-                    == chain_f_vector(up, keep)), (P.covers, keep)
+                    == chain_f_vector(up, keep)), (P.upper, keep)
 
 
 def test_f_vectors_of_lattice_families():

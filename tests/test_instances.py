@@ -124,9 +124,9 @@ def test_generated_instances_are_geometric():
 def test_random_poset_determinism():
     a = random_poset(8, 0.4, 123)
     b = random_poset(8, 0.4, 123)
-    assert a.labels == b.labels and a.covers == b.covers
+    assert a.labels == b.labels and a.upper == b.upper
     c = random_poset(8, 0.4, 124)
-    assert a.covers != c.covers
+    assert a.upper != c.upper
 
 
 def test_random_tree_determinism_and_shape():

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from order_oracles import bits, interval
+from order_oracles import bits, cover_pairs, interval
 from mobiuslab import lattices
 from mobiuslab.instances import (boolean_lattice, chain, complete_graph,
                                  contraction_lattice, cycle_graph,
@@ -240,7 +240,7 @@ def chain_dfs_cutset(L, cut):
     `is_cutset`), or None."""
     cut = set(cut)
     succ = {}
-    for i, j in L.poset.covers:
+    for i, j in cover_pairs(L.poset):
         succ.setdefault(i, []).append(j)
     if L.zero in cut:
         return None

@@ -6,7 +6,7 @@ import pytest
 import family_oracles as oracle
 from matroid_oracles import (broken_circuits, circuits, independents,
                              rank_axioms_check, subset_rank)
-from mobiuslab import matroid
+from mobiuslab import instances, matroid
 from mobiuslab.guards import SizeGuardError
 from mobiuslab.instances import (Graph, _Field, boolean_lattice,
                                  complete_graph, contraction_lattice,
@@ -246,15 +246,17 @@ def test_codeword_random_matrices():
 
 # -- flats of a vector configuration -------------------------------------
 
-def seeded_generators(count):
-    """(generator, q) over GF(2..5) with 1-4 rows and 1-8 columns; about
-    one column in three repeats or is parallel to an earlier one."""
-    rng = random.Random(35)
+def seeded_generators(count, rows=(1, 4), columns=8, seed=35):
+    """(generator, q) over GF(2..5) with rows[0] to rows[1] rows and 1 to
+    `columns` columns; about one column in three repeats or is parallel
+    to an earlier one."""
+    rng = random.Random(seed)
+    least, most = rows
     for _ in range(count):
-        q, k = rng.randrange(2, 6), rng.randrange(1, 5)
+        q, k = rng.randrange(2, 6), rng.randrange(least, most + 1)
         F = _Field(q)
         cols = []
-        for _ in range(rng.randrange(1, 9)):
+        for _ in range(rng.randrange(1, columns + 1)):
             if cols and rng.random() < 0.3:
                 c = rng.randrange(1, q)
                 cols.append([F.mul(c, x) for x in rng.choice(cols)])
@@ -265,11 +267,28 @@ def seeded_generators(count):
         yield [list(row) for row in zip(*cols)], q
 
 
-@pytest.mark.parametrize("generator, q", seeded_generators(120))
+# the tall ones split their rows unevenly between the two half add
+# tables at odd row counts
+@pytest.mark.parametrize("generator, q", [
+    *seeded_generators(120),
+    *seeded_generators(30, rows=(5, 8), columns=6, seed=36)])
 def test_flats_match_rank_closure_oracle(generator, q):
     # labels are the flats as column sets
     assert oracle.same_order(flats_lattice(generator, q).poset,
                              oracle.flats_lattice(generator, q))
+
+
+@pytest.mark.parametrize("rows, estimate", [(19, 2 ** 20), (21, 2 ** 22)])
+def test_tall_generator_refused_before_any_add_table(monkeypatch, rows,
+                                                     estimate):
+    # the larger add table covers ceil(rows / 2) coordinates each way
+    def no_table(*args):
+        raise AssertionError("an add table was built")
+    monkeypatch.setattr(instances, "_digits", no_table)
+    with pytest.raises(SizeGuardError) as refused:
+        flats_lattice([[1]] * rows, 2)
+    assert str(refused.value) == (f"span add table: estimated size "
+                                  f"{estimate} exceeds limit 1000000")
 
 
 def projective_points(q, k):

@@ -12,11 +12,14 @@ from collections import Counter
 
 import pytest
 
-from order_oracles import bits, build, mobius_rows, smallest_ready_order
+from order_oracles import (bits, build, cover_pairs, mobius_rows,
+                           poset_with_zero, scan_atoms, scan_coatoms,
+                           scan_heights, smallest_ready_order)
 
 from mobiuslab.instances import (boolean_lattice, contraction_lattice,
                                  cycle_graph, divisor_lattice,
                                  partition_lattice, subspace_lattice)
+from mobiuslab.lattices import Lattice
 from mobiuslab.posets import Poset
 
 
@@ -56,10 +59,20 @@ def test_closure_covers_and_linear_extension(n, density):
     assert [set(bits(m)) for m in P.down] == [set(s) for s in down]
     covers = sorted((i, j) for i in range(n) for j in up[i]
                     if j != i and len(up[i] & down[j]) == 2)
-    assert P.covers == covers
+    assert cover_pairs(P) == covers
+    # lower is the transpose of upper, both increasing
+    assert P.lower == [[i for i, j in covers if j == k] for k in range(n)]
+    assert P.heights() == scan_heights(n, covers)
     Q = Poset._from_arcs(labels, index_arcs)
-    assert (Q.labels, Q.up, Q.down, Q.covers) == (P.labels, P.up, P.down,
-                                                   P.covers)
+    assert (Q.labels, Q.up, Q.down, Q.upper, Q.lower) == (
+        P.labels, P.up, P.down, P.upper, P.lower)
+    # atoms and coatoms against pair scans, on a seeded lattice of sets
+    L = Lattice(poset_with_zero(random.Random(f"{n}/{density}"), True,
+                                sets=True))
+    pairs = [(i, j) for i in range(L.n) for j in bits(L.poset.up[i])
+             if (L.poset.up[i] & L.poset.down[j]).bit_count() == 2]
+    assert L.atoms() == scan_atoms(pairs, L.zero)
+    assert L.coatoms() == scan_coatoms(pairs, L.one)
 
 
 @pytest.mark.parametrize("n, density", CASES)
