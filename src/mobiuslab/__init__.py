@@ -4,8 +4,7 @@ matrices, and support bounds for null designs."""
 
 from .complexes import (MonotoneMap, chain_counts, dismantle,
                         euler_characteristic, is_dismantlable, order_complex,
-                        retract_check, verify_baclawski,
-                        verify_ideal_decomposition)
+                        retract_check, verify_baclawski)
 from .guards import SizeGuardError, check_size
 from .instances import (Graph, boolean_lattice, chain, complete_graph,
                         contraction_lattice, cycle_graph, divisor_lattice,

@@ -208,6 +208,8 @@ def cmd_zeta(args, P):
 def cmd_invert(args, P):
     if args.function is None:
         return _matrix(args, P, "mobius", P.mobius_matrix(), "Mobius matrix")
+    if args.csv:
+        raise InputError("--csv does not apply with --function")
     g = _load_function(P, args.function)
     if args.direction == "up":
         f = inversion.invert_up(P, g)

@@ -1,6 +1,6 @@
 """Order complexes, Euler characteristics, retracts and dismantlability,
-plus numerical verification of the fibre and ideal-decomposition
-identities."""
+plus numerical verification of the fibre identity of a monotone map (an
+ideal's decomposition is the case of its inclusion)."""
 
 from itertools import zip_longest
 
@@ -112,28 +112,6 @@ def verify_baclawski(f):
     rhs = mu_P + total
     return {"identity": "fibre decomposition", "lhs": lhs, "rhs": rhs,
             "pass": lhs == rhs, "witnesses": fibre_terms}
-
-
-def verify_ideal_decomposition(S, ideal_labels):
-    """Check mu(S) = mu(P) + sum_{y in S\\P} mu(S_{y<}) mu(P_{<=y}) for a
-    down-closed subset P of S."""
-    ideal = {S.idx(lab) for lab in ideal_labels}
-    ideal_mask = 0
-    for x in ideal:
-        ideal_mask |= 1 << x
-    for x in ideal:
-        if S.down[x] & ~ideal_mask:
-            raise PosetError(
-                f"{S.labels[x]!r} is in the subset but some element below "
-                "it is not: not an ideal")
-    lhs = S.mobius_number()
-    rhs = S.mobius_number(ideal)
-    for y in range(S.n):
-        if y not in ideal:
-            rhs += (S.mobius_number(_bits(S.up[y] ^ 1 << y))
-                    * S.mobius_number(_bits(ideal_mask & S.down[y])))
-    return {"identity": "ideal decomposition", "lhs": lhs, "rhs": rhs,
-            "pass": lhs == rhs, "witnesses": []}
 
 
 def retract_check(S, f):

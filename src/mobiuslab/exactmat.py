@@ -25,63 +25,44 @@ def mat_mul(A, B):
     return out
 
 
-def transpose(A):
-    return [list(col) for col in zip(*A)] if A else []
+def _eliminate(A):
+    """Fraction-free (Bareiss) forward elimination of an integer matrix
+    with row pivoting; a column with no pivot is skipped.  Returns the
+    rank over the rationals and, for a square matrix, the determinant.
+
+    After k pivots every entry still to be read is a (k+1)-minor of A
+    (Sylvester's identity), so each division by the last pivot is
+    exact."""
+    M = [row[:] for row in A]
+    rows, cols = len(M), len(M[0]) if M else 0
+    rank, sign, prev = 0, 1, 1
+    for c in range(cols):
+        if rank == rows:
+            break
+        r = next((r for r in range(rank, rows) if M[r][c] != 0), None)
+        if r is None:
+            continue
+        if r != rank:
+            M[rank], M[r] = M[r], M[rank]
+            sign = -sign
+        Mk, pivot = M[rank], M[rank][c]
+        for Mi in M[rank + 1:]:
+            mic = Mi[c]
+            # a row with 0 under an unchanged pivot stays as it is
+            if mic or pivot != prev:
+                for j in range(c + 1, cols):
+                    Mi[j] = (pivot * Mi[j] - mic * Mk[j]) // prev
+                Mi[c] = 0
+        prev = pivot
+        rank += 1
+    return rank, sign * prev if rank == rows == cols else 0
 
 
 def bareiss_det(A):
-    """Exact determinant of a square integer matrix by fraction-free
-    (Bareiss) elimination with row pivoting."""
-    n = len(A)
-    if n == 0:
-        return 1
-    M = [row[:] for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for r in range(k + 1, n):
-                if M[r][k] != 0:
-                    M[k], M[r] = M[r], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = M[k][k]
-        for i in range(k + 1, n):
-            Mi, Mk = M[i], M[k]
-            mik = Mi[k]
-            for j in range(k + 1, n):
-                Mi[j] = (pivot * Mi[j] - mik * Mk[j]) // prev
-            Mi[k] = 0
-        prev = pivot
-    return sign * M[n - 1][n - 1]
+    """Exact determinant of a square integer matrix."""
+    return _eliminate(A)[1]
 
 
 def int_row_rank(A):
-    """Rank over the rationals of an integer matrix, by fraction-free
-    row reduction."""
-    if not A or not A[0]:
-        return 0
-    M = [row[:] for row in A]
-    rows, cols = len(M), len(M[0])
-    rank = 0
-    pivot_col = 0
-    while rank < rows and pivot_col < cols:
-        pr = None
-        for r in range(rank, rows):
-            if M[r][pivot_col] != 0:
-                pr = r
-                break
-        if pr is None:
-            pivot_col += 1
-            continue
-        M[rank], M[pr] = M[pr], M[rank]
-        piv = M[rank][pivot_col]
-        for r in range(rank + 1, rows):
-            val = M[r][pivot_col]
-            if val:
-                M[r] = [piv * x - val * y for x, y in zip(M[r], M[rank])]
-        rank += 1
-        pivot_col += 1
-    return rank
+    """Rank over the rationals of an integer matrix."""
+    return _eliminate(A)[0]

@@ -5,7 +5,7 @@ point/hyperplane counting, Kung's theorem, point deletion)."""
 from collections import Counter
 from itertools import combinations
 
-from .exactmat import bareiss_det, int_row_rank, mat_mul, transpose
+from .exactmat import bareiss_det, int_row_rank
 from .posets import PosetError, _bits
 
 
@@ -128,9 +128,25 @@ class Lattice(MeetSemilattice):
     def coatoms(self):
         return list(self.poset.lower[self.one])
 
+    def top_join_mask(self, a):
+        """Mask of the x with x v a = 1.  x v a < 1 iff some coatom lies
+        above both x and a, so these are the elements outside the
+        down-sets of the coatoms above a, and no join is taken."""
+        up, down = self.poset.up, self.poset.down
+        mask = (1 << self.n) - 1
+        for h in self.poset.lower[self.one]:
+            if up[a] >> h & 1:
+                mask &= ~down[h]
+        return mask
+
     def complements(self, a):
-        return [x for x in range(self.n)
-                if self.meet(a, x) == self.zero and self.join(a, x) == self.one]
+        """The x with x v a = 1 and x ^ a = 0, in index order; dually,
+        x ^ a > 0 iff some atom lies below both."""
+        mask = self.top_join_mask(a)
+        for p in self.poset.upper[self.zero]:
+            if self.poset.down[a] >> p & 1:
+                mask &= ~self.poset.up[p]
+        return list(_bits(mask))
 
     def labels(self, indices):
         return [self.poset.labels[i] for i in indices]
@@ -216,28 +232,21 @@ def weisner_check(L, elements):
     """mu(0,1) = -sum over x < 1 with x v a = 1 of mu(0,x), for each a
     in elements (none of them 0); one report per a, in order.
 
-    x v a < 1 iff some coatom lies above both x and a, so the witnesses
-    x of a are the elements other than 1 outside the down-sets of the
-    coatoms above a, and no join is taken.  The sum is a popcount of the
-    witness mask against each value class of mu(0, .).  A report gives
-    the witness count, and the witness labels only when it fails."""
+    The witnesses x of a are the top_join_mask of a without 1.  The sum
+    is a popcount of the witness mask against each value class of
+    mu(0, .).  A report gives the witness count, and the witness labels
+    only when it fails."""
     if L.zero in elements:
         raise LatticeError("Weisner's lemma needs a != 0")
-    up, down = L.poset.up, L.poset.down
     mu0 = L.poset.mobius_row(L.zero)
     lhs = mu0[L.one]
     classes = {}
     for x, v in enumerate(mu0):
         if v:
             classes[v] = classes.get(v, 0) | 1 << x
-    coatoms = L.coatoms()
-    below_one = (1 << L.n) - 1 ^ 1 << L.one
     reports = []
     for a in elements:
-        witness = below_one
-        for h in coatoms:
-            if up[a] >> h & 1:
-                witness &= ~down[h]
+        witness = L.top_join_mask(a) ^ 1 << L.one
         rhs = -sum(v * (m & witness).bit_count() for v, m in classes.items())
         report = {"identity": "Weisner", "lhs": lhs, "rhs": rhs,
                   "pass": lhs == rhs, "witness_count": witness.bit_count()}
@@ -382,13 +391,12 @@ def dowling_wilson_check(L):
     if bad:
         raise LatticeError("hypothesis fails: mu(p,1) = 0 at "
                            f"{L.poset.labels[bad[0]]!r}")
-    G = [[1 if L.join(p, q) == L.one else 0 for q in range(L.n)]
-         for p in range(L.n)]
-    det = bareiss_det(G)
+    hits = [L.top_join_mask(p) for p in range(L.n)]
+    det = bareiss_det([[m >> q & 1 for q in range(L.n)] for m in hits])
     prod = 1
     for p in range(L.n):
         prod *= mu_top[p]
-    support = [[q for q in range(L.n) if G[p][q]] for p in range(L.n)]
+    support = [list(_bits(m)) for m in hits]
     perm = _perfect_matching(support, L.n)
     ok = det == prod and det != 0 and perm is not None
     ok = ok and all(L.join(p, perm[p]) == L.one for p in range(L.n))
@@ -413,7 +421,7 @@ def top_heavy_check(L, k):
 
 def dowling_complement_check(L):
     """Build the entrywise matrix M with (M)_{pq} = Mobius number of
-    {x in L': x v p < 1, x <= q}, relate it to the product -Z^T D H
+    {x in L': x v p < 1, x <= q}, relate it to the product F = -Z^T D H
     (which equals -M transposed on the inner block), check that product
     is nonsingular, and extract a complement-pairing permutation from
     its support."""
@@ -423,25 +431,26 @@ def dowling_complement_check(L):
     if bad:
         raise LatticeError("hypothesis fails: mu(0,p) mu(p,1) = 0 at "
                            f"{L.poset.labels[bad[0]]!r}")
+    down = L.poset.down
     inner = [x for x in range(L.n) if x not in (L.zero, L.one)]
+    inner_mask = (1 << L.n) - 1 & ~(1 << L.zero | 1 << L.one)
+    hits = [L.top_join_mask(p) for p in range(L.n)]
     M = [[0] * L.n for _ in range(L.n)]
     ideal_ok = True
     for p in range(L.n):
-        gp = [x for x in inner if L.join(x, p) != L.one]
+        gp = inner_mask & ~hits[p]
         for q in range(L.n):
-            ideal = [x for x in gp if L.poset.up[x] >> q & 1]
+            ideal = list(_bits(gp & down[q]))
             value = L.poset.mobius_number(ideal)
             # ideal identity: the Mobius number of a down-closed subset
             # of L' is minus the sum of mu(0, z) over it and 0
             ideal_ok = ideal_ok and value == -(mu0[L.zero]
                                                + sum(mu0[x] for x in ideal))
             M[p][q] = value
-    Z = L.poset.zeta_matrix()
-    D = [[mu0[i] if i == j else 0 for j in range(L.n)] for i in range(L.n)]
-    H = [[1 if L.join(p, q) == L.one else 0 for q in range(L.n)]
+    # D = diag(mu(0, .)) and H_iq = [i v q = 1], so F_pq is minus the
+    # sum of mu(0, i) over the i <= p with i v q = 1
+    F = [[-sum(mu0[i] for i in _bits(down[p] & m)) for m in hits]
          for p in range(L.n)]
-    F = mat_mul(transpose(Z), mat_mul(D, H))
-    F = [[-x for x in row] for row in F]
     factor_ok = all(F[p][q] == -M[q][p] for p in inner for q in inner)
     det = bareiss_det(F)
     comps = [set(L.complements(p)) for p in range(L.n)]
@@ -500,19 +509,17 @@ def kung_check(L, k):
     A = [x for x in range(L.n) if r[x] <= k]
     B = [x for x in range(L.n) if r[x] >= d - k]
     mu_top = L.poset.mobius_col(L.one)
-    B_set = set(B)
+    A_mask = sum(1 << a for a in A)
     for x in range(L.n):
-        if x in B_set:
+        if r[x] >= d - k:
             continue
         if mu_top[x] == 0:
             raise LatticeError("hypothesis violation: mu(x,1) = 0 at "
                                f"witness {L.poset.labels[x]!r}")
-        for a in A:
-            if L.join(a, x) == L.one:
-                raise LatticeError("hypothesis violation: a v x = x* at "
-                                   f"witness {L.poset.labels[x]!r}")
-    Z = L.poset.zeta_matrix()
-    sub = [[Z[a][b] for b in B] for a in A]
+        if L.top_join_mask(x) & A_mask:
+            raise LatticeError("hypothesis violation: a v x = x* at "
+                               f"witness {L.poset.labels[x]!r}")
+    sub = [[L.poset.up[a] >> b & 1 for b in B] for a in A]
     rank = int_row_rank(sub)
     result = {"identity": "zeta submatrix row rank", "lhs": rank,
               "rhs": len(A), "pass": rank == len(A),

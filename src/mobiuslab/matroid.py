@@ -168,6 +168,14 @@ def flats_lattice(generator, q):
     """Lattice of closed column sets of the generator matrix, labeled by
     sorted column tuples: a flat is the columns inside a GF(q) span."""
     F = _Field(q)
+    for i, row in enumerate(generator):
+        if len(row) != len(generator[0]):
+            raise ValueError(f"generator row {i} has {len(row)} entries, "
+                             f"row 0 has {len(generator[0])}")
+        for j, x in enumerate(row):
+            if x not in range(q):
+                raise ValueError(f"generator entry {x!r} at row {i}, "
+                                 f"column {j} is not in range({q})")
     columns = list(zip(*generator))
     if not all(map(any, columns)):
         raise ValueError("zero column in generator matrix")

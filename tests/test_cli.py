@@ -139,6 +139,17 @@ def test_invert_function_bad_label(capsys, b3, tmp_path):
     assert code == 2 and "unknown label" in err
 
 
+def test_invert_csv_refused_with_function(capsys, b3, tmp_path):
+    # --csv shapes only the Mobius matrix; with --function it would be a
+    # flag that does nothing
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps({"": 1}))
+    code, out, err = run(capsys, "invert", "--poset", b3,
+                         "--function", str(fpath), "--csv")
+    assert (code, out) == (2, "")
+    assert err == "error: --csv does not apply with --function\n"
+
+
 def test_json_booleans_are_not_integers(capsys, b3, tmp_path):
     # true and false are ints to Python; they must not pass as 1 and 0
     fpath = tmp_path / "f.json"

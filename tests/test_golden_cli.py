@@ -100,6 +100,8 @@ _QUERIES = [
                        "@g_r12.json"]),
     ("invert r12 down", ["invert", "--poset", "@r12", "--function",
                          "@g_r12.json", "--direction", "down"]),
+    ("invert b3 csv function", ["invert", "--poset", "@b3", "--function",
+                                "@g_b3.json", "--csv"]),
     ("mu b3", ["mu", "--poset", "@b3", "--from", "", "--to", "123"]),
     ("mu b3 inner", ["mu", "--poset", "@b3", "--from", "1", "--to", "123"]),
     ("mu p4", ["mu", "--poset", "@p4", "--from", "0123", "--to", "0000"]),

@@ -178,6 +178,20 @@ def test_weisner_against_the_join_definition(name):
 
 
 @pytest.mark.parametrize("name", WEISNER_LATTICES)
+def test_top_join_mask_and_complements_against_the_definitions(name):
+    # x ^ a = 0 iff 0 is the only common lower bound of x and a
+    L = WEISNER_LATTICES[name]()
+    down = L.poset.down
+    for a in range(L.n):
+        mask = L.top_join_mask(a)
+        assert [x for x in bits(mask) if x != L.one] == joins_to_one(L, a)
+        assert mask >> L.one & 1
+        assert L.complements(a) == [
+            x for x in joins_to_one(L, a) + [L.one]
+            if down[x] & down[a] == 1 << L.zero]
+
+
+@pytest.mark.parametrize("name", WEISNER_LATTICES)
 def test_weisner_count_needs_every_coatom_above_a(name):
     # The coatom sum with one coatom h >= a left out of the union.  Its rhs
     # stays right: the x it adds are those whose join with a is some y

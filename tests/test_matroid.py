@@ -291,6 +291,22 @@ def test_tall_generator_refused_before_any_add_table(monkeypatch, rows,
                                   f"{estimate} exceeds limit 1000000")
 
 
+@pytest.mark.parametrize("generator, message", [
+    ([[2]], "generator entry 2 at row 0, column 0 is not in range(2)"),
+    ([[1, 1], [1]], "generator row 1 has 1 entries, row 0 has 2"),
+    ([[1, -1]], "generator entry -1 at row 0, column 1 is not in range(2)")])
+def test_flats_lattice_refuses_bad_generator(monkeypatch, generator,
+                                             message):
+    # refused before any column code is taken: a short row used to be
+    # cut off by zip, and -1 read as the code of 1
+    def no_flats(*args):
+        raise AssertionError("column codes were taken")
+    monkeypatch.setattr(matroid, "_span_flats", no_flats)
+    with pytest.raises(ValueError) as refused:
+        flats_lattice(generator, 2)
+    assert str(refused.value) == message
+
+
 def projective_points(q, k):
     """One vector per line through 0 of GF(q)^k: those whose first
     nonzero coordinate is 1."""
