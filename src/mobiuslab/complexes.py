@@ -5,12 +5,13 @@ ideal's decomposition is the case of its inclusion)."""
 from itertools import zip_longest
 
 from .guards import check_size
-from .posets import PosetError, _bits, _mask
+from .posets import PosetError, _bits
 
 
-def order_complex(P, indices=None):
+def order_complex(P, keep=None):
     """Face counts by dimension (the f-vector) of the order complex of the
-    subposet induced on the given element indices (all of P by default).
+    subposet induced on the elements in the bitmask keep (all of P by
+    default).
     Its faces are the nonempty chains, so f[k] is the number of chains of
     k + 1 elements.
 
@@ -20,7 +21,8 @@ def order_complex(P, indices=None):
     chain, so the pass takes at most pairs(keep) x (number of heights
     over keep) steps; that bound is checked before it starts.
     """
-    keep = _mask(P.n, indices)
+    if keep is None:
+        keep = (1 << P.n) - 1
     kept, down = list(_bits(keep)), P.down
     h = P.heights()
     heights = [h[x] for x in kept]
@@ -45,7 +47,7 @@ def chain_counts(P, a, b):
         raise PosetError("endpoints are incomparable")
     if a == b:
         return {0: 1}
-    f = order_complex(P, _bits(P.up[a] & P.down[b] ^ 1 << a ^ 1 << b))
+    f = order_complex(P, P.up[a] & P.down[b] ^ 1 << a ^ 1 << b)
     return {1: 1, **{k + 2: fk for k, fk in enumerate(f)}}
 
 
@@ -70,9 +72,10 @@ class MonotoneMap:
                         f"{source.labels[i]!r} <= {source.labels[j]!r}")
 
     def fibre_below(self, y):
-        """Indices of source elements mapped into the down-set of y."""
-        return [x for x in range(self.source.n)
-                if self.target.up[self.images[x]] >> y & 1]
+        """Bitmask of the source elements mapped into the down-set of y."""
+        below = self.target.down[y]
+        return sum(1 << x for x, t in enumerate(self.images)
+                   if below >> t & 1)
 
 
 def random_monotone_map(P, Q, seed):
@@ -103,7 +106,7 @@ def verify_baclawski(f):
     fibre_terms = []
     total = 0
     for y in range(Q.n):
-        t_above = Q.mobius_number(_bits(Q.up[y] ^ 1 << y))
+        t_above = Q.mobius_number(Q.up[y] ^ 1 << y)
         t_fibre = P.mobius_number(f.fibre_below(y))
         total += t_above * t_fibre
         fibre_terms.append({"y": Q.labels[y], "mu_above": t_above,
@@ -128,7 +131,7 @@ def retract_check(S, f):
     if problems:
         return {"identity": "retract preserves Mobius number", "lhs": None,
                 "rhs": None, "pass": False, "witnesses": problems}
-    lhs = S.mobius_number(set(f.images))
+    lhs = S.mobius_number(sum(1 << t for t in set(f.images)))
     rhs = S.mobius_number()
     return {"identity": "retract preserves Mobius number", "lhs": lhs,
             "rhs": rhs, "pass": lhs == rhs, "witnesses": []}
@@ -150,8 +153,7 @@ def dismantle(P):
         if victim is None:
             break
         deletions.append(current.labels[victim])
-        current = current.restrict([i for i in range(current.n)
-                                    if i != victim])
+        current = current.restrict((1 << current.n) - 1 ^ 1 << victim)
     return deletions, current
 
 

@@ -62,8 +62,9 @@ def derangements(n):
 def derangements_bruteforce(n):
     """Enumeration oracle: count permutations with no fixed point."""
     from itertools import permutations
-    return sum(all(p[i] != i for i in range(n))
-               for p in permutations(range(n)))
+    from operator import ne
+    points = range(n)
+    return sum(all(map(ne, p, points)) for p in permutations(points))
 
 
 def lindstrom_wilf_det(P, f):

@@ -226,6 +226,22 @@ def whitney_rank_sums(L):
     return sums
 
 
+def _value_classes(vec):
+    """One bitmask per distinct nonzero value of vec: bit x of the mask
+    for v is set iff vec[x] == v."""
+    classes = {}
+    for x, v in enumerate(vec):
+        if v:
+            classes[v] = classes.get(v, 0) | 1 << x
+    return classes
+
+
+def _class_sum(classes, mask):
+    """The sum of vec[x] over the x in mask, given the value classes of
+    vec: one popcount per class, with no set decoded."""
+    return sum(v * (m & mask).bit_count() for v, m in classes.items())
+
+
 # -- identity checks -----------------------------------------------------
 
 def weisner_check(L, elements):
@@ -240,14 +256,11 @@ def weisner_check(L, elements):
         raise LatticeError("Weisner's lemma needs a != 0")
     mu0 = L.poset.mobius_row(L.zero)
     lhs = mu0[L.one]
-    classes = {}
-    for x, v in enumerate(mu0):
-        if v:
-            classes[v] = classes.get(v, 0) | 1 << x
+    classes = _value_classes(mu0)
     reports = []
     for a in elements:
         witness = L.top_join_mask(a) ^ 1 << L.one
-        rhs = -sum(v * (m & witness).bit_count() for v, m in classes.items())
+        rhs = -_class_sum(classes, witness)
         report = {"identity": "Weisner", "lhs": lhs, "rhs": rhs,
                   "pass": lhs == rhs, "witness_count": witness.bit_count()}
         if lhs != rhs:
@@ -294,7 +307,7 @@ def cutset_mobius(L, cut):
     witness = is_cutset(L, cut)
     if witness is not None:
         raise LatticeError("not a cutset; untouched maximal chain: "
-                           + " < ".join(L.labels(witness)))
+                           + " < ".join(map(str, L.labels(witness))))
     signed = Counter()
     for c in cut:
         grown = Counter({(c, c): -1})
@@ -310,12 +323,12 @@ def walker_complement_check(L, a):
     """mu of L' minus the complements of a is zero."""
     if a in (L.zero, L.one):
         raise LatticeError("element must lie strictly between 0 and 1")
-    comp = set(L.complements(a))
-    keep = [x for x in range(L.n)
-            if x not in comp and x not in (L.zero, L.one)]
+    comp = L.complements(a)
+    keep = ((1 << L.n) - 1 ^ 1 << L.zero ^ 1 << L.one
+            ^ sum(1 << x for x in comp))
     value = L.poset.mobius_number(keep)
     return {"identity": "complement deletion", "lhs": value, "rhs": 0,
-            "pass": value == 0, "witnesses": L.labels(sorted(comp))}
+            "pass": value == 0, "witnesses": L.labels(comp)}
 
 
 def _check_join_isomorphism(L, a, x):
@@ -432,6 +445,7 @@ def dowling_complement_check(L):
         raise LatticeError("hypothesis fails: mu(0,p) mu(p,1) = 0 at "
                            f"{L.poset.labels[bad[0]]!r}")
     down = L.poset.down
+    classes = _value_classes(mu0)
     inner = [x for x in range(L.n) if x not in (L.zero, L.one)]
     inner_mask = (1 << L.n) - 1 & ~(1 << L.zero | 1 << L.one)
     hits = [L.top_join_mask(p) for p in range(L.n)]
@@ -440,16 +454,16 @@ def dowling_complement_check(L):
     for p in range(L.n):
         gp = inner_mask & ~hits[p]
         for q in range(L.n):
-            ideal = list(_bits(gp & down[q]))
+            ideal = gp & down[q]
             value = L.poset.mobius_number(ideal)
             # ideal identity: the Mobius number of a down-closed subset
             # of L' is minus the sum of mu(0, z) over it and 0
-            ideal_ok = ideal_ok and value == -(mu0[L.zero]
-                                               + sum(mu0[x] for x in ideal))
+            ideal_ok = ideal_ok and value == -_class_sum(
+                classes, ideal | 1 << L.zero)
             M[p][q] = value
     # D = diag(mu(0, .)) and H_iq = [i v q = 1], so F_pq is minus the
     # sum of mu(0, i) over the i <= p with i v q = 1
-    F = [[-sum(mu0[i] for i in _bits(down[p] & m)) for m in hits]
+    F = [[-_class_sum(classes, down[p] & m) for m in hits]
          for p in range(L.n)]
     factor_ok = all(F[p][q] == -M[q][p] for p in inner for q in inner)
     det = bareiss_det(F)
@@ -543,8 +557,8 @@ def point_deletion(L, p):
     h = L.join_set(others)
     coloop = h != L.one
     up = L.poset.up
-    fixed = [a for a in range(L.n)
-             if L.join_set([q for q in others if up[q] >> a & 1]) == a]
+    fixed = sum(1 << a for a in range(L.n)
+                if L.join_set([q for q in others if up[q] >> a & 1]) == a)
     deleted = Lattice(L.poset.restrict(fixed))
     mu0 = L.poset.mobius_row(L.zero)
     lhs = mu0[L.one]

@@ -30,39 +30,32 @@ def _bits(mask):
                     bin(mask >> low)[:1:-1].encode().translate(_BIT_BYTES))
 
 
-def _pull(n, a, walk, sets):
-    """One row or column of the Mobius matrix by the pull recursion.
+def _pull(n, walk, sets):
+    """Mobius values against one anchor by the pull recursion.
 
-    The entry at a is 1, and each b of walk in turn gets
-    -(sum of the finished entries at the x in sets[b]); the finished
-    entries are a's and those of the b's walked before.  They are kept as
-    one mask per distinct nonzero value, so each sum is a popcount per
-    value class and decodes no set.  With walk the strict up-set of a in
+    The anchor lies below (or, dually, above) every element of walk, so
+    it adds 1 to every sum and is folded into the start value: each b of
+    walk in turn gets -1 - (sum of the entries at the walked x in
+    sets[b]).  The finished entries are kept as one mask per distinct
+    nonzero value, so each sum is a popcount per value class and decodes
+    no set.  Returns the n entries, 0 off the walk; the anchor's own
+    entry is left to the caller.  With walk the strict up-set of a in
     linear-extension order and sets the down-sets, this is row a; with
-    the strict down-set in reverse order and the up-sets, column a.
+    the strict down-set in reverse order and the up-sets, column a; with
+    a mask of kept elements and the down-sets, mu(0^, .) on the subposet
+    they induce, for an adjoined bottom 0^.
     """
     vec = [0] * n
-    vec[a] = 1
-    classes = {1: 1 << a}
+    classes = {}
     for b in walk:
         s = sets[b]
-        v = 0
+        v = -1
         for w, m in classes.items():
             v -= w * (m & s).bit_count()
         if v:
             vec[b] = v
             classes[v] = classes.get(v, 0) | 1 << b
     return vec
-
-
-def _mask(n, indices):
-    """The bitmask of the given element indices; all n when None."""
-    if indices is None:
-        return (1 << n) - 1
-    keep = 0
-    for i in indices:
-        keep |= 1 << i
-    return keep
 
 
 class Poset:
@@ -255,15 +248,19 @@ class Poset:
         """Row a of the Mobius matrix, pulled over the strict up-set of a
         in linear-extension order: mu(a,b) = -sum_{a <= x < b} mu(a,x).
         Every call builds a new list, 0 at the b not above a."""
-        return _pull(self.n, a, _bits(self.up[a] ^ 1 << a), self.down)
+        row = _pull(self.n, _bits(self.up[a] ^ 1 << a), self.down)
+        row[a] = 1
+        return row
 
     def mobius_col(self, b):
         """Column b of the Mobius matrix, via the dual recursion
         mu(c,b) = -sum_{c < x <= b} mu(x,b), pulled over the strict
         down-set of b in reverse linear-extension order.  Every call
         builds a new list."""
-        return _pull(self.n, b, reversed([*_bits(self.down[b] ^ 1 << b)]),
-                     self.up)
+        col = _pull(self.n, reversed([*_bits(self.down[b] ^ 1 << b)]),
+                    self.up)
+        col[b] = 1
+        return col
 
     def mobius_matrix(self):
         """All rows, by the recursion mu(a,b) = -sum_{a <= x < b} mu(a,x)
@@ -291,9 +288,11 @@ class Poset:
         """mu(i, j) by index, pulled over the interval [i, j] only: 1 on
         the diagonal, 0 unless i < j.  A caller that reads many entries of
         one row or column computes that row or column once instead."""
+        if i == j:
+            return 1
         if not self.up[i] >> j & 1:
             return 0
-        return _pull(self.n, i, _bits(self.up[i] & self.down[j] ^ 1 << i),
+        return _pull(self.n, _bits(self.up[i] & self.down[j] ^ 1 << i),
                      self.down)[j]
 
     # -- constructions ---------------------------------------------------
@@ -314,28 +313,28 @@ class Poset:
                                  pos[(a, other.labels[j])]))
         return Poset._from_arcs(labels, arcs)
 
-    def restrict(self, indices):
-        """Induced subposet on the given element indices."""
-        keep = sorted(set(indices))
-        pos = {old: new for new, old in enumerate(keep)}
-        mask = _mask(self.n, keep)
-        labels = [self.labels[i] for i in keep]
-        arcs = [(pos[i], pos[j]) for i in keep
-                for j in _bits(self.up[i] & mask ^ 1 << i)]
+    def restrict(self, keep):
+        """Induced subposet on the elements in the bitmask keep."""
+        kept = [*_bits(keep)]
+        pos = {old: new for new, old in enumerate(kept)}
+        labels = [self.labels[i] for i in kept]
+        arcs = [(pos[i], pos[j]) for i in kept
+                for j in _bits(self.up[i] & keep ^ 1 << i)]
         return Poset._from_arcs(labels, arcs)
 
-    def mobius_number(self, indices=None):
-        """mu(0^, 1^) of the subposet induced on the given element indices
-        (all of P by default) with a fresh bottom and top adjoined.
+    def mobius_number(self, keep=None):
+        """mu(0^, 1^) of the subposet induced on the elements in the
+        bitmask keep (all of P by default) with a fresh bottom and top
+        adjoined.
 
-        One pull over the parent's masks, building no poset: bit n stands
-        for 0^ and is set in every down-set, the walk is the linear
-        extension restricted to the kept elements (one of the induced
-        order), and mu(0^, 1^) = -(sum of mu(0^, x) over 0^ and the kept x).
+        One pull over the parent's down-sets, building no poset: the walk
+        is the linear extension restricted to keep (one of the induced
+        order), 0^ is the pull's anchor, and
+        mu(0^, 1^) = -(1 + sum of mu(0^, x) over the kept x).
         """
-        n = self.n
-        return -sum(_pull(n + 1, n, _bits(_mask(n, indices)),
-                          [d | 1 << n for d in self.down]))
+        if keep is None:
+            keep = (1 << self.n) - 1
+        return -1 - sum(_pull(self.n, _bits(keep), self.down))
 
     def __repr__(self):
         return f"Poset(n={self.n})"

@@ -58,7 +58,7 @@ def scan_coatoms(pairs, one):
 def interval(P, a, b):
     """The interval [a, b] of P, by labels, as a poset."""
     i, j = P.idx(a), P.idx(b)
-    return P.restrict(bits(P.up[i] & P.down[j]))
+    return P.restrict(P.up[i] & P.down[j])
 
 
 def is_isomorphic(P, Q):

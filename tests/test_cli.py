@@ -332,6 +332,19 @@ def test_cutset_refuses_non_crosscut(capsys, tmp_path):
     assert code == 2 and "'' is the bottom element" in err
 
 
+def test_cutset_refusal_names_integer_labels(capsys, tmp_path):
+    # a divisor lattice has integer labels; the untouched chain is named
+    # with them, not raised as a TypeError
+    d12 = tmp_path / "d12.json"
+    code, out, _ = run(capsys, "gen", "--family", "divisor", "--n", "12")
+    d12.write_text(out)
+    code, out, err = run(capsys, "cutset", "--poset", str(d12),
+                         "--cutset", "2")
+    assert (code, out) == (2, "")
+    assert err == ("error: not a cutset; untouched maximal chain: "
+                   "1 < 3 < 6 < 12\n")
+
+
 def rank_two(k):
     """0 < a0, ..., a(k-1) < 1 as poset JSON: k atoms that are coatoms."""
     atoms = [f"a{i}" for i in range(k)]

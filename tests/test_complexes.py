@@ -32,13 +32,17 @@ def _random_orders():
                 yield P, up, rng
 
 
+def _as_mask(indices):
+    return sum(1 << i for i in indices)
+
+
 def test_f_vector_matches_chain_listing():
     for P, up, rng in _random_orders():
         everything = set(range(P.n))
         assert complexes.order_complex(P) == chain_f_vector(up, everything)
         for _ in range(3):
             keep = {x for x in everything if rng.random() < 0.6}
-            assert (complexes.order_complex(P, keep)
+            assert (complexes.order_complex(P, _as_mask(keep))
                     == chain_f_vector(up, keep)), (P.upper, keep)
 
 
@@ -50,7 +54,7 @@ def test_f_vectors_of_lattice_families():
         up = [frozenset(bits(m)) for m in P.up]
         inner = set(range(P.n)) - {L.zero, L.one}
         for keep in (set(range(P.n)), inner):
-            assert (complexes.order_complex(P, keep)
+            assert (complexes.order_complex(P, _as_mask(keep))
                     == chain_f_vector(up, keep))
     # B_4 by hand: chains of k + 1 subsets of {1, 2, 3, 4}
     assert (complexes.order_complex(boolean_lattice(4).poset)
@@ -130,7 +134,7 @@ def test_ideal_decomposition():
         ideal = set()
         for x in sorted(range(S.n), key=lambda i: len(bits(S.down[i])))[:size]:
             ideal |= set(bits(S.down[x]))
-        sub = S.restrict(ideal)
+        sub = S.restrict(_as_mask(ideal))
         report = complexes.verify_baclawski(
             complexes.MonotoneMap(sub, S, sub.labels))
         assert report["pass"], report

@@ -497,8 +497,8 @@ def test_dowling_complement_reports_ideal_failure(monkeypatch):
     right = Poset.mobius_number
     monkeypatch.setattr(
         Poset, "mobius_number",
-        lambda self, indices=None: right(self, indices)
-        + (indices is not None and len(indices) == L.n - 2))
+        lambda self, keep=None: right(self, keep)
+        + (keep is not None and keep.bit_count() == L.n - 2))
     r = lattices.dowling_complement_check(L)
     assert r["pass"] is False
 

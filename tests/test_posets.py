@@ -139,14 +139,42 @@ def test_mobius_number_of_subset_equals_hall_chain_sum():
             arcs = [(i, j) for i in labels for j in labels[i + 1:]
                     if rng.random() < 0.3]
             P = Poset.from_covers(labels, arcs)
-            subsets = [[], list(range(n))] + [
-                [i for i in range(n) if rng.random() < 0.6]
+            subsets = [0, (1 << n) - 1] + [
+                sum(1 << i for i in range(n) if rng.random() < 0.6)
                 for _ in range(4)]
             for S in subsets:
                 hall = -1 + sum((-1) ** k * fk for k, fk
                                 in enumerate(order_complex(P, S)))
                 assert P.mobius_number(S) == hall, (n, arcs, S)
-            assert P.mobius_number() == P.mobius_number(range(n))
+            assert P.mobius_number() == P.mobius_number((1 << n) - 1)
+
+
+def _bounded_mobius_number(P, keep):
+    """mu(0^, 1^) of the subposet on keep, on a poset that is built: the
+    restriction, with fresh bounds adjoined by their covers."""
+    sub = P.restrict(keep)
+    bot, top = "0^", "1^"
+    covers = ([[sub.labels[i], sub.labels[j]]
+               for i, cov in enumerate(sub.upper) for j in cov]
+              + [[bot, lab] for lab in sub.labels]
+              + [[lab, top] for lab in sub.labels] + [[bot, top]])
+    B = Poset.from_covers([bot, *sub.labels, top], covers)
+    return B.mobius_idx(B.idx(bot), B.idx(top))
+
+
+def test_mobius_number_matches_a_built_subposet():
+    rng = random.Random(26)
+    for n in range(1, 13):
+        for density in (0, 0.2, 0.5, 0.9):
+            P = random_poset(n, density, rng.randrange(2 ** 30))
+            assert P.mobius_number(0) == _bounded_mobius_number(P, 0) == -1
+            for x in range(n):
+                assert (P.mobius_number(1 << x)
+                        == _bounded_mobius_number(P, 1 << x) == 0)
+            for _ in range(6):
+                keep = rng.getrandbits(n)
+                assert (P.mobius_number(keep)
+                        == _bounded_mobius_number(P, keep)), (n, keep)
 
 
 def test_json_round_trip():
