@@ -19,8 +19,7 @@ from . import complexes, instances, inversion, lattices, matroid
 from . import nulldesigns, treedist
 from .exactmat import identity, mat_mul
 from .lattices import Lattice, LatticeError, MeetSemilattice
-from .posets import (Poset, PosetError, _bits, poset_from_json,
-                     poset_to_json)
+from .posets import Poset, _bits, poset_from_json, poset_to_json
 
 
 class InputError(Exception):
@@ -41,7 +40,7 @@ def _load_poset(path):
     obj = _load_json(path)
     try:
         P = poset_from_json(obj)
-    except (PosetError, KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"{path}: {e}")
     # labels are printed and looked up by str, so two must not share one
     shown = {}
@@ -155,17 +154,17 @@ def _emit_csv(rows, summary):
 def _contraction(args):
     if args.graph is None:
         raise InputError("contraction needs --graph")
-    return instances.contraction_lattice(_load_graph(args.graph)).poset
+    return instances.contraction_lattice(_load_graph(args.graph))
 
 
 # gen families: a builder giving a Poset (written as JSON) or a Graph
 # (written as CSV edge rows)
 _FAMILIES = {
-    "boolean": lambda a: instances.boolean_lattice(a.n).poset,
+    "boolean": lambda a: instances.boolean_lattice(a.n),
     "chain": lambda a: instances.chain(a.n),
-    "divisor": lambda a: instances.divisor_lattice(a.n).poset,
-    "subspace": lambda a: instances.subspace_lattice(a.q, a.n).poset,
-    "partition": lambda a: instances.partition_lattice(a.n).poset,
+    "divisor": lambda a: instances.divisor_lattice(a.n),
+    "subspace": lambda a: instances.subspace_lattice(a.q, a.n),
+    "partition": lambda a: instances.partition_lattice(a.n),
     "contraction": _contraction,
     "random-poset": lambda a: instances.random_poset(a.n, a.density, a.seed),
     "random-tree": lambda a: instances.random_tree(a.n, a.seed),
@@ -263,15 +262,14 @@ def cmd_lattice_check(args, P):
 
 
 def cmd_weisner(args, L):
-    P = L.poset
     if args.element is not None:
-        targets = _resolve(P, args.element)
+        targets = _resolve(L, args.element)
     else:
         targets = [a for a in range(L.n) if a != L.zero]
     reports = lattices.weisner_check(L, targets)
     ok = all(r["pass"] for r in reports)
     return ({"checked": len(reports), "pass": ok,
-             "reports": [{"a": str(P.labels[a]), "lhs": r["lhs"],
+             "reports": [{"a": str(L.labels[a]), "lhs": r["lhs"],
                           "rhs": r["rhs"], "pass": r["pass"]}
                          for a, r in zip(targets, reports)]},
             f"Weisner on {len(reports)} elements: "
@@ -283,7 +281,7 @@ def _check_crosscut(L, cut):
     for antichains that avoid 0 and 1 and meet every maximal chain;
     refuse a set that is not such an antichain (`cutset_mobius` refuses
     one that misses a chain)."""
-    labels = [str(lab) for lab in L.poset.labels]
+    labels = [str(lab) for lab in L.labels]
     cut = sorted(set(cut))
     for a in cut:
         if a in (L.zero, L.one):
@@ -291,21 +289,20 @@ def _check_crosscut(L, cut):
             raise InputError(f"not a crosscut: {labels[a]!r} is the {end} "
                              "element")
         for b in cut:
-            if a != b and L.poset.up[a] >> b & 1:
+            if a != b and L.up[a] >> b & 1:
                 raise InputError(f"not a crosscut: {labels[a]!r} < "
                                  f"{labels[b]!r}")
 
 
 def cmd_cutset(args, L):
-    P = L.poset
     if args.cutset is not None:
-        cut = _resolve(P, *args.cutset.split(","))
+        cut = _resolve(L, *args.cutset.split(","))
         _check_crosscut(L, cut)
     else:
         cut = L.atoms()
     value = lattices.cutset_mobius(L, cut)
-    matrix_mu = P.mobius_idx(L.zero, L.one)
-    return ({"cutset": [str(P.labels[c]) for c in cut], "mu": value,
+    matrix_mu = L.mobius_idx(L.zero, L.one)
+    return ({"cutset": [str(L.labels[c]) for c in cut], "mu": value,
              "mu_matrix": matrix_mu, "pass": value == matrix_mu},
             f"cutset sum {value}, matrix {matrix_mu}")
 
@@ -391,10 +388,9 @@ def _suite(seed):
     items.append(("mobius inversion round-trip", check_inversion))
 
     def check_boolean_mu():
-        P = B4.poset
-        M = P.mobius_matrix()
-        return all(M[a][b] == (-1) ** (len(P.labels[b]) - len(P.labels[a]))
-                   for a in range(P.n) for b in _bits(P.up[a]))
+        M = B4.mobius_matrix()
+        return all(M[a][b] == (-1) ** (len(B4.labels[b]) - len(B4.labels[a]))
+                   for a in range(B4.n) for b in _bits(B4.up[a]))
     items.append(("subset-lattice mu values", check_boolean_mu))
 
     def check_chain_sum():
@@ -460,7 +456,7 @@ def _suite(seed):
         # the rank levels of a graded lattice, atoms to coatoms, are crosscuts
         return all(lattices.cutset_mobius(L, [x for x in range(L.n)
                                               if L.rank[x] == k])
-                   == L.poset.mobius_idx(L.zero, L.one)
+                   == L.mobius_idx(L.zero, L.one)
                    for L in (B3, L23) for k in range(1, L.height))
     items.append(("cutset alternating sum", check_cutset))
 
@@ -472,9 +468,9 @@ def _suite(seed):
     def check_modular_factorization():
         if not lattices.modular_factorization(L23, L23.atoms()[0])["pass"]:
             return False
-        if L23.poset.mobius_idx(L23.zero, L23.one) != -8:
+        if L23.mobius_idx(L23.zero, L23.one) != -8:
             return False
-        return Pi5.poset.mobius_idx(Pi5.zero, Pi5.one) == 24
+        return Pi5.mobius_idx(Pi5.zero, Pi5.one) == 24
     items.append(("modular factorization", check_modular_factorization))
 
     def check_nbc():
@@ -535,9 +531,8 @@ def _suite(seed):
     items.append(("point deletion recursion", check_deletion))
 
     def check_nulldesign():
-        P = B3.poset
-        f = [(-1) ** len(str(lab)) for lab in P.labels]
-        S = MeetSemilattice(P)
+        f = [(-1) ** len(str(lab)) for lab in B3.labels]
+        S = MeetSemilattice(B3)
         if nulldesigns.strength(S, f) != 2:
             return False
         report = nulldesigns.verify_support_theorem(S, f)
@@ -652,7 +647,7 @@ def main(argv=None):
     handler = globals()[args.handler]
     try:
         body, summary = handler(args, *_load_input(args))
-    except (InputError, PosetError, LatticeError, ValueError) as e:
+    except (InputError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if isinstance(body, list):

@@ -6,7 +6,7 @@ from collections import Counter
 from itertools import combinations
 
 from .exactmat import bareiss_det, int_row_rank
-from .posets import PosetError, _bits
+from .posets import Poset, PosetError, _bits
 
 
 class LatticeError(PosetError):
@@ -23,25 +23,29 @@ def _extremes(sets):
     return [i for i, m in enumerate(sets) if m == 1 << i]
 
 
-class MeetSemilattice:
+class MeetSemilattice(Poset):
     """Poset with a zero element in which every pair has a greatest
     lower bound, that is, every pair with an upper bound has a join.
 
-    Element indices are the underlying poset's (linear-extension order),
-    so index 0 is the zero.
+    Element indices are the poset's (linear-extension order), so index 0
+    is the zero; its labels, index and order lists are shared, not copied.
     """
 
     def __init__(self, poset):
-        self.poset = poset
-        self.n = poset.n
-        if poset.n == 0:
+        self._share(poset)
+        if self.n == 0:
             raise PosetError("empty poset is not a meet semilattice")
-        minimals = _extremes(poset.down)
+        minimals = _extremes(self.down)
         if len(minimals) != 1:
             raise PosetError(f"{len(minimals)} minimal elements; a meet "
                              "semilattice has a unique zero")
         self.zero = minimals[0]
-        self._check_bounds(poset.down, PosetError, "greatest lower")
+        self._check_bounds(self.down, PosetError, "greatest lower")
+
+    def _share(self, P):
+        """Take P's labels, index and order lists as they are."""
+        (self.labels, self.n, self.index, self.up, self.down, self.upper,
+         self.lower) = P.labels, P.n, P.index, P.up, P.down, P.upper, P.lower
 
     def _check_bounds(self, sets, error, bound):
         """Raise error unless the scan of upper covers finds every join.
@@ -52,19 +56,18 @@ class MeetSemilattice:
         The common upper bounds of x and y have a least element z iff
         they are z's own up-set, and up-sets are distinct; dually for
         meets.  A pair with no common bound (0) passes."""
-        P, n = self.poset, self.n
-        up = P.up
+        n, up = self.n, self.up
         joins = {*up, 0}
         if any(up[x] & up[y] not in joins
-               for xs in P.upper for x, y in combinations(xs, 2)):
+               for xs in self.upper for x, y in combinations(xs, 2)):
             own = {*sets, 0}
             i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
                         if sets[i] & sets[j] not in own)
             raise error(f"no {bound} bound for witness pair "
-                        f"({P.labels[i]!r}, {P.labels[j]!r})")
+                        f"({self.labels[i]!r}, {self.labels[j]!r})")
 
     def meet(self, i, j):
-        return (self.poset.down[i] & self.poset.down[j]).bit_length() - 1
+        return (self.down[i] & self.down[j]).bit_length() - 1
 
 
 class Lattice(MeetSemilattice):
@@ -75,11 +78,10 @@ class Lattice(MeetSemilattice):
     """
 
     def __init__(self, poset):
-        self.poset = poset
-        self.n = n = poset.n
-        if n == 0:
+        self._share(poset)
+        if self.n == 0:
             raise LatticeError("empty poset is not a lattice")
-        minimals, maximals = _extremes(poset.down), _extremes(poset.up)
+        minimals, maximals = _extremes(self.down), _extremes(self.up)
         if len(minimals) != 1 or len(maximals) != 1:
             raise LatticeError("poset is not bounded: "
                                f"{len(minimals)} minimal / "
@@ -89,17 +91,17 @@ class Lattice(MeetSemilattice):
         self._rank = None
         # no pair before the first one with no join lacks a meet, as two
         # maximal lower bounds would lack a join
-        self._check_bounds(poset.up, LatticeError, "least upper")
+        self._check_bounds(self.up, LatticeError, "least upper")
 
     def join(self, i, j):
         # a join precedes every other upper bound in the linear extension
-        common = self.poset.up[i] & self.poset.up[j]
+        common = self.up[i] & self.up[j]
         return (common & -common).bit_length() - 1
 
     def join_set(self, indices):
-        common = self.poset.up[self.zero]
+        common = self.up[self.zero]
         for i in indices:
-            common &= self.poset.up[i]
+            common &= self.up[i]
         return (common & -common).bit_length() - 1
 
     @property
@@ -107,14 +109,13 @@ class Lattice(MeetSemilattice):
         """Per-element rank (longest chain from zero) as a tuple,
         validated against the Jordan-Dedekind condition."""
         if self._rank is None:
-            P = self.poset
-            r = P.heights()
-            for i, cov in enumerate(P.upper):
+            r = self.heights()
+            for i, cov in enumerate(self.upper):
                 for j in cov:
                     if r[j] != r[i] + 1:
                         raise NotRankedError(
                             "unequal maximal chains below witness pair "
-                            f"({P.labels[i]!r}, {P.labels[j]!r})")
+                            f"({self.labels[i]!r}, {self.labels[j]!r})")
             self._rank = tuple(r)
         return self._rank
 
@@ -123,33 +124,30 @@ class Lattice(MeetSemilattice):
         return self.rank[self.one]
 
     def atoms(self):
-        return list(self.poset.upper[self.zero])
+        return list(self.upper[self.zero])
 
     def coatoms(self):
-        return list(self.poset.lower[self.one])
+        return list(self.lower[self.one])
 
     def top_join_mask(self, a):
         """Mask of the x with x v a = 1.  x v a < 1 iff some coatom lies
         above both x and a, so these are the elements outside the
         down-sets of the coatoms above a, and no join is taken."""
-        up, down = self.poset.up, self.poset.down
+        up, down = self.up, self.down
         mask = (1 << self.n) - 1
-        for h in self.poset.lower[self.one]:
+        for h in self.lower[self.one]:
             if up[a] >> h & 1:
                 mask &= ~down[h]
         return mask
 
     def complements(self, a):
-        """The x with x v a = 1 and x ^ a = 0, in index order; dually,
-        x ^ a > 0 iff some atom lies below both."""
+        """Mask of the x with x v a = 1 and x ^ a = 0; dually, x ^ a > 0
+        iff some atom lies below both."""
         mask = self.top_join_mask(a)
-        for p in self.poset.upper[self.zero]:
-            if self.poset.down[a] >> p & 1:
-                mask &= ~self.poset.up[p]
-        return list(_bits(mask))
-
-    def labels(self, indices):
-        return [self.poset.labels[i] for i in indices]
+        for p in self.upper[self.zero]:
+            if self.down[a] >> p & 1:
+                mask &= ~self.up[p]
+        return mask
 
     def __repr__(self):
         return f"Lattice(n={self.n})"
@@ -172,7 +170,7 @@ def _semimodular_side(L, covers, bound):
 def is_semimodular(L):
     """Upper semimodularity by the local criterion (Stanley, EC1 Prop.
     3.3.2): whenever x != y both cover some c, x v y covers both."""
-    return _semimodular_side(L, L.poset.upper, L.join)
+    return _semimodular_side(L, L.upper, L.join)
 
 
 def is_atomistic(L):
@@ -180,7 +178,7 @@ def is_atomistic(L):
     for x in range(L.n):
         if x == L.zero:
             continue
-        below = [p for p in atoms if L.poset.up[p] >> x & 1]
+        below = [p for p in atoms if L.up[p] >> x & 1]
         if L.join_set(below) != x:
             return False
     return True
@@ -200,7 +198,7 @@ def is_modular_element(L, a):
 def is_lower_semimodular(L):
     """The dual criterion: whenever x != y are both covered by some c,
     both cover x ^ y."""
-    return _semimodular_side(L, L.poset.lower, L.meet)
+    return _semimodular_side(L, L.lower, L.meet)
 
 
 def is_modular_lattice(L):
@@ -219,7 +217,7 @@ def whitney_numbers(L):
 
 def whitney_rank_sums(L):
     """Signed sums w_k = sum_{r(a)=k} mu(0, a)."""
-    mu0 = L.poset.mobius_row(L.zero)
+    mu0 = L.mobius_row(L.zero)
     sums = [0] * (L.height + 1)
     for x in range(L.n):
         sums[L.rank[x]] += mu0[x]
@@ -254,7 +252,7 @@ def weisner_check(L, elements):
     only when it fails."""
     if L.zero in elements:
         raise LatticeError("Weisner's lemma needs a != 0")
-    mu0 = L.poset.mobius_row(L.zero)
+    mu0 = L.mobius_row(L.zero)
     lhs = mu0[L.one]
     classes = _value_classes(mu0)
     reports = []
@@ -264,7 +262,7 @@ def weisner_check(L, elements):
         report = {"identity": "Weisner", "lhs": lhs, "rhs": rhs,
                   "pass": lhs == rhs, "witness_count": witness.bit_count()}
         if lhs != rhs:
-            report["witnesses"] = L.labels(_bits(witness))
+            report["witnesses"] = [L.labels[x] for x in _bits(witness)]
         reports.append(report)
     return reports
 
@@ -279,7 +277,7 @@ def is_cutset(L, cut):
     cut = set(cut)
     if L.zero in cut:
         return None
-    upper = L.poset.upper
+    upper = L.upper
     seen = {L.zero}
     chain = [L.zero]
     pending = [iter(upper[L.zero])]
@@ -307,7 +305,7 @@ def cutset_mobius(L, cut):
     witness = is_cutset(L, cut)
     if witness is not None:
         raise LatticeError("not a cutset; untouched maximal chain: "
-                           + " < ".join(map(str, L.labels(witness))))
+                           + " < ".join(str(L.labels[x]) for x in witness))
     signed = Counter()
     for c in cut:
         grown = Counter({(c, c): -1})
@@ -324,24 +322,24 @@ def walker_complement_check(L, a):
     if a in (L.zero, L.one):
         raise LatticeError("element must lie strictly between 0 and 1")
     comp = L.complements(a)
-    keep = ((1 << L.n) - 1 ^ 1 << L.zero ^ 1 << L.one
-            ^ sum(1 << x for x in comp))
-    value = L.poset.mobius_number(keep)
+    keep = (1 << L.n) - 1 ^ 1 << L.zero ^ 1 << L.one ^ comp
+    value = L.mobius_number(keep)
     return {"identity": "complement deletion", "lhs": value, "rhs": 0,
-            "pass": value == 0, "witnesses": L.labels(comp)}
+            "pass": value == 0,
+            "witnesses": [L.labels[x] for x in _bits(comp)]}
 
 
 def _check_join_isomorphism(L, a, x):
     """Verify t -> t v x maps [x^a, a] bijectively and order-preservingly
     onto [x, x v a]."""
     lo, hi = L.meet(a, x), L.join(a, x)
-    up = L.poset.up
-    source = list(_bits(up[lo] & L.poset.down[a]))
+    up = L.up
+    source = list(_bits(up[lo] & L.down[a]))
     image = [L.join(t, x) for t in source]
     image_mask = 0
     for t in image:
         image_mask |= 1 << t
-    if image_mask != up[x] & L.poset.down[hi]:
+    if image_mask != up[x] & L.down[hi]:
         return False
     for s, t in zip(source, image):
         for s2, t2 in zip(source, image):
@@ -356,20 +354,21 @@ def modular_factorization(L, a):
     if a in (L.zero, L.one):
         raise LatticeError("need 0 < a < 1")
     if not is_modular_element(L, a):
-        raise LatticeError(f"{L.poset.labels[a]!r} is not modular")
-    mu0 = L.poset.mobius_row(L.zero)
-    comp = L.complements(a)
+        raise LatticeError(f"{L.labels[a]!r} is not modular")
+    mu0 = L.mobius_row(L.zero)
+    comp = [*_bits(L.complements(a))]
     lhs = mu0[L.one]
     rhs = mu0[a] * sum(mu0[x] for x in comp)
     iso_ok = all(_check_join_isomorphism(L, a, x) for x in comp)
     # Stanley's criterion (a is modular iff no two of its complements are
     # comparable) is a theorem only for geometric lattices
-    up = L.poset.up
+    up = L.up
     antichain_ok = not is_geometric(L) or not any(
         up[x] >> y & 1 for x in comp for y in comp if x != y)
     return {"identity": "modular factorization", "lhs": lhs, "rhs": rhs,
             "pass": lhs == rhs and iso_ok and antichain_ok,
-            "antichain_ok": antichain_ok, "witnesses": L.labels(comp)}
+            "antichain_ok": antichain_ok,
+            "witnesses": [L.labels[x] for x in comp]}
 
 
 def _perfect_matching(support, n):
@@ -399,11 +398,11 @@ def _perfect_matching(support, n):
 def dowling_wilson_check(L):
     """det of the join-hits-one matrix equals prod_p mu(p,1) != 0, and a
     permutation with q v sigma(q) = 1 is extracted from its support."""
-    mu_top = L.poset.mobius_col(L.one)
+    mu_top = L.mobius_col(L.one)
     bad = [p for p in range(L.n) if mu_top[p] == 0]
     if bad:
         raise LatticeError("hypothesis fails: mu(p,1) = 0 at "
-                           f"{L.poset.labels[bad[0]]!r}")
+                           f"{L.labels[bad[0]]!r}")
     hits = [L.top_join_mask(p) for p in range(L.n)]
     det = bareiss_det([[m >> q & 1 for q in range(L.n)] for m in hits])
     prod = 1
@@ -417,7 +416,7 @@ def dowling_wilson_check(L):
     return {"identity": "join-complement permutation", "lhs": det,
             "rhs": prod, "pass": ok,
             "permutation": None if perm is None else
-            [L.poset.labels[q] for q in perm]}
+            [L.labels[q] for q in perm]}
 
 
 def top_heavy_check(L, k):
@@ -438,13 +437,13 @@ def dowling_complement_check(L):
     (which equals -M transposed on the inner block), check that product
     is nonsingular, and extract a complement-pairing permutation from
     its support."""
-    mu0 = L.poset.mobius_row(L.zero)
-    mu_top = L.poset.mobius_col(L.one)
+    mu0 = L.mobius_row(L.zero)
+    mu_top = L.mobius_col(L.one)
     bad = [p for p in range(L.n) if mu0[p] == 0 or mu_top[p] == 0]
     if bad:
         raise LatticeError("hypothesis fails: mu(0,p) mu(p,1) = 0 at "
-                           f"{L.poset.labels[bad[0]]!r}")
-    down = L.poset.down
+                           f"{L.labels[bad[0]]!r}")
+    down = L.down
     classes = _value_classes(mu0)
     inner = [x for x in range(L.n) if x not in (L.zero, L.one)]
     inner_mask = (1 << L.n) - 1 & ~(1 << L.zero | 1 << L.one)
@@ -455,7 +454,7 @@ def dowling_complement_check(L):
         gp = inner_mask & ~hits[p]
         for q in range(L.n):
             ideal = gp & down[q]
-            value = L.poset.mobius_number(ideal)
+            value = L.mobius_number(ideal)
             # ideal identity: the Mobius number of a down-closed subset
             # of L' is minus the sum of mu(0, z) over it and 0
             ideal_ok = ideal_ok and value == -_class_sum(
@@ -467,12 +466,12 @@ def dowling_complement_check(L):
          for p in range(L.n)]
     factor_ok = all(F[p][q] == -M[q][p] for p in inner for q in inner)
     det = bareiss_det(F)
-    comps = [set(L.complements(p)) for p in range(L.n)]
-    lemma_ok = all(q in comps[p]
+    comps = [L.complements(p) for p in range(L.n)]
+    lemma_ok = all(comps[p] >> q & 1
                    for p in inner for q in inner if M[p][q] != 0)
-    comp_support = [[q for q in range(L.n) if F[p][q] != 0 and q in comps[p]]
+    comp_support = [[q for q in _bits(comps[p]) if F[p][q] != 0]
                     for p in range(L.n)]
-    support_ok = all(q in comps[p]
+    support_ok = all(comps[p] >> q & 1
                      for p in range(L.n) for q in range(L.n) if F[p][q] != 0)
     perm = _perfect_matching(comp_support, L.n)
     ok = (det != 0 and ideal_ok and factor_ok and lemma_ok and support_ok
@@ -480,7 +479,7 @@ def dowling_complement_check(L):
     return {"identity": "complement permutation", "lhs": det, "rhs": "nonzero",
             "pass": ok,
             "permutation": None if perm is None else
-            [L.poset.labels[q] for q in perm]}
+            [L.labels[q] for q in perm]}
 
 
 def basterfield_kelly_check(L):
@@ -503,12 +502,12 @@ def basterfield_kelly_check(L):
 def join_irreducibles(L):
     """Elements covering at most one element, 0 included: x is the join
     of two elements other than x iff it covers two or more."""
-    return [x for x, cov in enumerate(L.poset.lower) if len(cov) <= 1]
+    return [x for x, cov in enumerate(L.lower) if len(cov) <= 1]
 
 
 def meet_irreducibles(L):
     """Elements covered by at most one element, 1 included."""
-    return [x for x, cov in enumerate(L.poset.upper) if len(cov) <= 1]
+    return [x for x, cov in enumerate(L.upper) if len(cov) <= 1]
 
 
 def kung_check(L, k):
@@ -522,18 +521,18 @@ def kung_check(L, k):
     r = L.rank
     A = [x for x in range(L.n) if r[x] <= k]
     B = [x for x in range(L.n) if r[x] >= d - k]
-    mu_top = L.poset.mobius_col(L.one)
+    mu_top = L.mobius_col(L.one)
     A_mask = sum(1 << a for a in A)
     for x in range(L.n):
         if r[x] >= d - k:
             continue
         if mu_top[x] == 0:
             raise LatticeError("hypothesis violation: mu(x,1) = 0 at "
-                               f"witness {L.poset.labels[x]!r}")
+                               f"witness {L.labels[x]!r}")
         if L.top_join_mask(x) & A_mask:
             raise LatticeError("hypothesis violation: a v x = x* at "
-                               f"witness {L.poset.labels[x]!r}")
-    sub = [[L.poset.up[a] >> b & 1 for b in B] for a in A]
+                               f"witness {L.labels[x]!r}")
+    sub = [[L.up[a] >> b & 1 for b in B] for a in A]
     rank = int_row_rank(sub)
     result = {"identity": "zeta submatrix row rank", "lhs": rank,
               "rhs": len(A), "pass": rank == len(A),
@@ -552,22 +551,22 @@ def point_deletion(L, p):
     verify the deletion recursion for mu(0,1)."""
     atoms = L.atoms()
     if p not in atoms:
-        raise LatticeError(f"{L.poset.labels[p]!r} is not an atom")
+        raise LatticeError(f"{L.labels[p]!r} is not an atom")
     others = [q for q in atoms if q != p]
     h = L.join_set(others)
     coloop = h != L.one
-    up = L.poset.up
+    up = L.up
     fixed = sum(1 << a for a in range(L.n)
                 if L.join_set([q for q in others if up[q] >> a & 1]) == a)
-    deleted = Lattice(L.poset.restrict(fixed))
-    mu0 = L.poset.mobius_row(L.zero)
+    deleted = Lattice(L.restrict(fixed))
+    mu0 = L.mobius_row(L.zero)
     lhs = mu0[L.one]
-    mu_p_top = L.poset.mobius_idx(p, L.one)
+    mu_p_top = L.mobius_idx(p, L.one)
     if coloop:
         rhs = -mu_p_top
     else:
-        rhs = deleted.poset.mobius_row(deleted.zero)[deleted.one] - mu_p_top
+        rhs = deleted.mobius_row(deleted.zero)[deleted.one] - mu_p_top
     report = {"identity": "point deletion recursion", "lhs": lhs, "rhs": rhs,
               "pass": lhs == rhs, "coloop": coloop,
-              "witnesses": [L.poset.labels[p]]}
+              "witnesses": [L.labels[p]]}
     return deleted, report

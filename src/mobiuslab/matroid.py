@@ -70,7 +70,7 @@ def nbc_counts(L, order=None):
     if sorted(order) != atoms:
         raise ValueError("order is not a permutation of the atoms")
     counts = [0] * (L.height + 1)
-    down = L.poset.down
+    down = L.down
 
     def extend(i, size, join):
         counts[size] += 1

@@ -53,7 +53,7 @@ def independents(L):
         for T, j in layer:
             start = atoms.index(T[-1]) + 1 if T else 0
             for p in atoms[start:]:
-                if L.poset.down[j] >> p & 1:
+                if L.down[j] >> p & 1:
                     continue
                 T2 = T + (p,)
                 nxt.append((T2, L.join(j, p)))
@@ -71,7 +71,7 @@ def circuits(L):
     for I in independents(L):
         jI = L.join_set(I)
         for p in atoms:
-            if p in I or not L.poset.down[jI] >> p & 1:
+            if p in I or not L.down[jI] >> p & 1:
                 continue
             base = I | {p}
             circuit = frozenset(x for x in base

@@ -46,7 +46,7 @@ def test_criterion_01_inversion_round_trip():
 def test_criterion_02_boolean_mobius_values():
     ok = True
     for n in range(1, 9):
-        P = boolean_lattice(n).poset
+        P = boolean_lattice(n)
         for a in range(P.n):
             row = P.mobius_row(a)
             for b in bits(P.up[a]):
@@ -153,10 +153,10 @@ def test_criterion_10_cutset_formula():
     for n in range(1, 5):
         L = boolean_lattice(n)
         ok = ok and (lattices.cutset_mobius(L, L.atoms())
-                     == L.poset.mobius_idx(L.zero, L.one))
+                     == L.mobius_idx(L.zero, L.one))
     L = subspace_lattice(2, 3)
     value = lattices.cutset_mobius(L, L.atoms())
-    ok = ok and value == -8 == L.poset.mobius_idx(L.zero, L.one)
+    ok = ok and value == -8 == L.mobius_idx(L.zero, L.one)
     _report(10, "cutset alternating sum", ok, f"B_2(3) gives {value}")
 
 
@@ -179,7 +179,7 @@ def test_criterion_12_modular_factorization():
         want = (-1) ** n * q ** math.comb(n, 2)
         ok = ok and r["pass"] and r["lhs"] == want
     P2 = partition_lattice(2)
-    ok = ok and P2.poset.mobius_idx(P2.zero, P2.one) == -1
+    ok = ok and P2.mobius_idx(P2.zero, P2.one) == -1
     for n in range(3, 8):
         L = partition_lattice(n)
         r = lattices.modular_factorization(L, L.atoms()[0])
@@ -325,14 +325,14 @@ def _stirling2(m, k):
 def test_criterion_20_null_design_support_bounds():
     ok = True
     for n in range(1, 9):
-        P = boolean_lattice(n).poset
+        P = boolean_lattice(n)
         S = lattices.MeetSemilattice(P)
         for b in range(P.n):
             want = 2 ** len(P.labels[b])
             ok = ok and nulldesigns.support_lower_bound(S, b) == want
     for q, n in ((2, 2), (2, 3), (2, 4), (3, 2)):
         L = subspace_lattice(q, n)
-        S = lattices.MeetSemilattice(L.poset)
+        S = lattices.MeetSemilattice(L)
         for b in range(L.n):
             want = 1
             for i in range(L.rank[b]):
@@ -344,9 +344,9 @@ def test_criterion_20_null_design_support_bounds():
     confirmed = True
     for n in range(2, 8):
         L = partition_lattice(n)
-        S = lattices.MeetSemilattice(L.poset)
+        S = lattices.MeetSemilattice(L)
         for b in range(L.n):
-            digits = L.poset.labels[b]
+            digits = L.labels[b]
             cells = sorted(set(digits))
             got = nulldesigns.support_lower_bound(S, b)
             claim = math.factorial(len(cells))

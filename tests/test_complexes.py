@@ -50,14 +50,14 @@ def test_f_vectors_of_lattice_families():
     for L in (boolean_lattice(3), boolean_lattice(4), partition_lattice(4),
               partition_lattice(5), subspace_lattice(2, 3),
               subspace_lattice(3, 2)):
-        P = L.poset
+        P = L
         up = [frozenset(bits(m)) for m in P.up]
         inner = set(range(P.n)) - {L.zero, L.one}
         for keep in (set(range(P.n)), inner):
             assert (complexes.order_complex(P, _as_mask(keep))
                     == chain_f_vector(up, keep))
     # B_4 by hand: chains of k + 1 subsets of {1, 2, 3, 4}
-    assert (complexes.order_complex(boolean_lattice(4).poset)
+    assert (complexes.order_complex(boolean_lattice(4))
             == [16, 65, 110, 84, 24])
 
 
@@ -116,7 +116,7 @@ def test_baclawski_on_random_maps():
 
 
 def test_cardinality_map_to_chain():
-    P = boolean_lattice(3).poset
+    P = boolean_lattice(3)
     Q = chain(3)
     f = complexes.MonotoneMap(P, Q, [len(lab) for lab in P.labels])
     assert complexes.verify_baclawski(f)["pass"]
@@ -143,7 +143,7 @@ def test_ideal_decomposition():
 
 
 def test_retract_preserves_mobius_number():
-    P = boolean_lattice(3).poset
+    P = boolean_lattice(3)
     images = ["".join(c for c in lab if c in "12") for lab in P.labels]
     f = complexes.MonotoneMap(P, P, images)
     assert complexes.retract_check(P, f)["pass"]
@@ -170,5 +170,5 @@ def test_dismantlable_has_zero_mobius_number():
 
 
 def test_bounded_posets_dismantle():
-    assert complexes.is_dismantlable(boolean_lattice(3).poset)
+    assert complexes.is_dismantlable(boolean_lattice(3))
     assert complexes.is_dismantlable(chain(4))

@@ -32,9 +32,9 @@ def test_graph_validation():
 def test_boolean_lattice_structure():
     L = boolean_lattice(3)
     assert L.n == 8
-    assert L.poset.labels[L.zero] == ""
-    assert L.poset.labels[L.one] == "123"
-    assert is_isomorphic(boolean_lattice(1).poset, chain(1))
+    assert L.labels[L.zero] == ""
+    assert L.labels[L.one] == "123"
+    assert is_isomorphic(boolean_lattice(1), chain(1))
 
 
 def test_boolean_is_power_of_chains():
@@ -42,7 +42,7 @@ def test_boolean_is_power_of_chains():
         prod = chain(1)
         for _ in range(n - 1):
             prod = prod.product(chain(1))
-        assert is_isomorphic(boolean_lattice(n).poset, prod)
+        assert is_isomorphic(boolean_lattice(n), prod)
 
 
 def test_boolean_guard():
@@ -51,8 +51,8 @@ def test_boolean_guard():
 
 
 def test_divisor_lattice():
-    assert is_isomorphic(divisor_lattice(30).poset, boolean_lattice(3).poset)
-    assert is_isomorphic(divisor_lattice(8).poset, chain(3))
+    assert is_isomorphic(divisor_lattice(30), boolean_lattice(3))
+    assert is_isomorphic(divisor_lattice(8), chain(3))
     assert divisor_lattice(12).n == 6
     with pytest.raises(SizeGuardError):
         divisor_lattice(10 ** 6 + 1)
@@ -60,9 +60,9 @@ def test_divisor_lattice():
 
 def test_divisor_product_decomposition():
     for p_r, m in ((4, 15), (9, 10), (8, 3)):
-        lhs = divisor_lattice(p_r * m).poset
-        rhs = divisor_lattice(m).poset.product(
-            divisor_lattice(p_r).poset)
+        lhs = divisor_lattice(p_r * m)
+        rhs = divisor_lattice(m).product(
+            divisor_lattice(p_r))
         assert is_isomorphic(lhs, rhs)
 
 
@@ -71,7 +71,7 @@ def test_subspace_lattice_counts():
     assert L.n == 5
     assert lattices.whitney_numbers(L) == [1, 3, 1]
     assert lattices.whitney_numbers(subspace_lattice(3, 2)) == [1, 4, 1]
-    assert subspace_lattice(2, 3).poset.mobius_idx(0, 15) == -8
+    assert subspace_lattice(2, 3).mobius_idx(0, 15) == -8
     assert gaussian_binomial(4, 2, 2) == 35
 
 
@@ -89,7 +89,7 @@ def test_subspace_lattice_unsupported_field():
 def test_partition_lattice():
     assert partition_lattice(4).n == 15
     L = partition_lattice(5)
-    assert L.poset.mobius_idx(L.zero, L.one) == 24
+    assert L.mobius_idx(L.zero, L.one) == 24
     assert lattices.whitney_numbers(partition_lattice(3)) == [1, 3, 1]
     with pytest.raises(SizeGuardError):
         partition_lattice(10)
@@ -97,14 +97,14 @@ def test_partition_lattice():
 
 def test_contraction_lattice():
     K3 = complete_graph(3)
-    assert is_isomorphic(contraction_lattice(K3).poset,
-                         partition_lattice(3).poset)
+    assert is_isomorphic(contraction_lattice(K3),
+                         partition_lattice(3))
     K4 = complete_graph(4)
-    assert is_isomorphic(contraction_lattice(K4).poset,
-                         partition_lattice(4).poset)
+    assert is_isomorphic(contraction_lattice(K4),
+                         partition_lattice(4))
     tree = path_graph(4)
-    assert is_isomorphic(contraction_lattice(tree).poset,
-                         boolean_lattice(3).poset)
+    assert is_isomorphic(contraction_lattice(tree),
+                         boolean_lattice(3))
 
 
 def test_contraction_lattice_rank_is_vertices_minus_components():
@@ -149,7 +149,7 @@ def test_negative_sizes_rejected():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_partition_lattice_matches_oracle(n):
-    assert oracle.same_order(partition_lattice(n).poset,
+    assert oracle.same_order(partition_lattice(n),
                              oracle.partition_lattice(n))
 
 
@@ -163,7 +163,7 @@ def test_contraction_lattice_matches_oracle_on_every_small_graph():
     # 1 + 1 + 2 + 8 + 64 + 1024 labeled graphs on 0..5 vertices
     for n in range(6):
         for G in all_graphs(n):
-            assert oracle.same_order(contraction_lattice(G).poset,
+            assert oracle.same_order(contraction_lattice(G),
                                      oracle.contraction_lattice(G)), G
 
 
@@ -184,7 +184,7 @@ def seeded_graphs():
 @pytest.mark.parametrize("G", seeded_graphs(),
                          ids=lambda G: f"{G.n}v{len(G.edges)}e")
 def test_contraction_lattice_matches_oracle(G):
-    assert oracle.same_order(contraction_lattice(G).poset,
+    assert oracle.same_order(contraction_lattice(G),
                              oracle.contraction_lattice(G))
 
 
@@ -201,14 +201,14 @@ def test_oracle_catches_merge_without_edge():
     # blocks no edge joins builds Pi_5, not the lattice of C_5
     G = EdgeBlindGraph(5, cycle_graph(5).edges)
     assert contraction_lattice(G).n == 52
-    assert not oracle.same_order(contraction_lattice(G).poset,
+    assert not oracle.same_order(contraction_lattice(G),
                                  oracle.contraction_lattice(G))
 
 
 @pytest.mark.parametrize("q, n", [(q, n) for q in (2, 3, 4, 5)
                                   for n in range(4)] + [(2, 4)])
 def test_subspace_lattice_matches_oracle(q, n):
-    assert oracle.same_order(subspace_lattice(q, n).poset,
+    assert oracle.same_order(subspace_lattice(q, n),
                              oracle.subspace_lattice(q, n))
 
 
@@ -216,7 +216,7 @@ def test_subspace_lattice_matches_oracle(q, n):
                                1, 9973])
 def test_divisor_lattice_matches_oracle(m):
     # the divisors the benchmark generates, 1, and a prime
-    assert oracle.same_order(divisor_lattice(m).poset,
+    assert oracle.same_order(divisor_lattice(m),
                              oracle.divisor_lattice(m))
 
 
@@ -228,7 +228,7 @@ def test_subspace_lattice_closed_forms(q, n):
     L = subspace_lattice(q, n)
     assert lattices.whitney_numbers(L) == [gaussian_binomial(n, k, q)
                                            for k in range(n + 1)]
-    assert L.poset.mobius_idx(L.zero, L.one) == \
+    assert L.mobius_idx(L.zero, L.one) == \
         (-1) ** n * q ** (n * (n - 1) // 2)
 
 

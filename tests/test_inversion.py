@@ -37,7 +37,7 @@ def test_invert_matches_mobius_matrix_formula():
 
 
 def test_function_as_dict():
-    P = boolean_lattice(2).poset
+    P = boolean_lattice(2)
     f = {lab: len(lab) for lab in P.labels}
     g = inversion.forward_up(P, f)
     assert g[P.idx("")] == 0 + 1 + 1 + 2
@@ -72,7 +72,7 @@ def test_lindstrom_wilf_determinant():
 
 
 def test_lindstrom_wilf_matrix_entries():
-    P = boolean_lattice(2).poset
+    P = boolean_lattice(2)
     f = [1, 2, 3, 4]
     G, det = inversion.lindstrom_wilf_det(P, f)
     top = P.idx("12")

@@ -87,7 +87,7 @@ def test_meet_semilattice_check_equals_all_pairs_scan(P):
 
 def bound_tables(L):
     """Join and meet tables of L by search."""
-    P = L.poset
+    P = L
     join = [[least_upper_bound(P, i, j) for j in range(L.n)]
             for i in range(L.n)]
     meet = [[greatest_lower_bound(P, i, j) for j in range(L.n)]
@@ -98,7 +98,7 @@ def bound_tables(L):
 def dedekind_modular(L):
     join, meet = bound_tables(L)
     return all(join[a][meet[b][c]] == meet[join[a][b]][c]
-               for a in range(L.n) for c in range(L.n) if L.poset.up[a] >> c & 1
+               for a in range(L.n) for c in range(L.n) if L.up[a] >> c & 1
                for b in range(L.n))
 
 

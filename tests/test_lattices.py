@@ -4,14 +4,16 @@ from collections import Counter
 
 import pytest
 
-from order_oracles import bits, cover_pairs, interval
+from order_oracles import (bits, cover_pairs, first_unbounded_pair,
+                           interval, poset_with_zero)
 from mobiuslab import lattices
 from mobiuslab.instances import (boolean_lattice, chain, complete_graph,
                                  contraction_lattice, cycle_graph,
                                  divisor_lattice,
                                  partition_lattice, subspace_lattice)
-from mobiuslab.lattices import Lattice, LatticeError, NotRankedError
-from mobiuslab.posets import Poset
+from mobiuslab.lattices import (Lattice, LatticeError, MeetSemilattice,
+                                NotRankedError)
+from mobiuslab.posets import Poset, poset_from_json, poset_to_json
 
 
 def test_non_lattice_witness():
@@ -27,10 +29,50 @@ def test_unbounded_rejected():
         Lattice(Poset.from_covers(["x", "y"], []))
 
 
+def topless_meet_semilattice():
+    """The first seeded poset with a zero, two or more maximal elements
+    and every meet."""
+    for seed in range(100):
+        P = poset_with_zero(random.Random(seed), top=False)
+        maximal = sum(m == 1 << i for i, m in enumerate(P.up))
+        if maximal >= 2 and first_unbounded_pair(P, ("lower",)) is None:
+            return P
+    raise AssertionError("no seed gave a topless meet semilattice")
+
+
+@pytest.mark.parametrize("name", ["B_3", "Pi_4", "D_60", "topless"])
+def test_a_lattice_is_the_poset_it_was_built_from(name):
+    # Lattice and MeetSemilattice hold the lists of the poset they check,
+    # so every Poset method answers on them as on that poset
+    if name == "topless":
+        P = topless_meet_semilattice()
+        built = [MeetSemilattice(P)]
+    else:
+        family = {"B_3": lambda: boolean_lattice(3),
+                  "Pi_4": lambda: partition_lattice(4),
+                  "D_60": lambda: divisor_lattice(60)}[name]
+        P = poset_from_json(poset_to_json(family()))
+        built = [Lattice(P), MeetSemilattice(P)]
+    assert type(P) is Poset
+    rng = random.Random(27)
+    keeps = [0, (1 << P.n) - 1] + [rng.getrandbits(P.n) for _ in range(8)]
+    for L in built:
+        assert isinstance(L, Poset)
+        for attr in ("up", "down", "upper", "lower", "labels"):
+            assert getattr(L, attr) is getattr(P, attr)
+        assert poset_to_json(L) == poset_to_json(P)
+        assert all(L.mobius_row(a) == P.mobius_row(a) for a in range(P.n))
+        for keep in keeps:
+            assert L.mobius_number(keep) == P.mobius_number(keep)
+            assert (poset_to_json(L.restrict(keep))
+                    == poset_to_json(P.restrict(keep)))
+        assert not hasattr(L, "poset")
+
+
 def test_join_meet_tables():
     L = boolean_lattice(3)
-    a, b = L.poset.idx("1"), L.poset.idx("2")
-    assert L.poset.labels[L.join(a, b)] == "12"
+    a, b = L.idx("1"), L.idx("2")
+    assert L.labels[L.join(a, b)] == "12"
     assert L.meet(a, b) == L.zero
     assert L.join_set([]) == L.zero
 
@@ -48,7 +90,7 @@ def test_rank_cannot_be_edited_through_its_result():
 def test_rank_and_jordan_dedekind():
     L = boolean_lattice(4)
     assert L.height == 4
-    assert all(L.rank[x] == len(L.poset.labels[x]) for x in range(L.n))
+    assert all(L.rank[x] == len(L.labels[x]) for x in range(L.n))
     bad = Lattice(Poset.from_covers(
         ["0", "a", "b", "c", "1"],
         [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")]))
@@ -59,9 +101,9 @@ def test_rank_and_jordan_dedekind():
 def test_atoms_coatoms_complements():
     L = boolean_lattice(3)
     assert len(L.atoms()) == len(L.coatoms()) == 3
-    a = L.poset.idx("1")
-    comp = L.complements(a)
-    assert comp == [L.poset.idx("23")]
+    a = L.idx("1")
+    comp = bits(L.complements(a))
+    assert comp == [L.idx("23")]
 
 
 def test_semimodular_geometric_modular():
@@ -82,8 +124,8 @@ def test_modular_elements_in_partition_lattice():
     L = partition_lattice(4)
     for p in L.atoms():
         assert lattices.is_modular_element(L, p)
-    assert lattices.is_modular_element(L, L.poset.idx("0122"))
-    assert not lattices.is_modular_element(L, L.poset.idx("0011"))
+    assert lattices.is_modular_element(L, L.idx("0122"))
+    assert not lattices.is_modular_element(L, L.idx("0011"))
 
 
 def test_whitney_numbers():
@@ -104,7 +146,7 @@ def test_whitney_rank_sums_alternate_in_sign():
 def test_sign_corollary_on_intervals():
     L = contraction_lattice(complete_graph(4))
     r = L.rank
-    P = L.poset
+    P = L
     for a in range(L.n):
         for b in bits(P.up[a]):
             mu = P.mobius_idx(a, b)
@@ -124,7 +166,7 @@ def test_weisner():
 
 def test_weisner_reports_follow_the_element_list(monkeypatch):
     L = boolean_lattice(3)
-    P = L.poset
+    P = L
     elements = [P.idx(lab) for lab in ("123", "1", "12", "3")]
     reports = lattices.weisner_check(L, elements)
     assert [r["witness_count"] for r in reports] == [7, 1, 3, 1]
@@ -160,7 +202,7 @@ WEISNER_LATTICES = {
 def joins_to_one(L, a):
     """The x < 1 with x v a = 1 by the definition of the join: 1 is the
     only common upper bound of x and a."""
-    up = L.poset.up
+    up = L.up
     return [x for x in range(L.n)
             if x != L.one and up[x] & up[a] == 1 << L.one]
 
@@ -168,7 +210,7 @@ def joins_to_one(L, a):
 @pytest.mark.parametrize("name", WEISNER_LATTICES)
 def test_weisner_against_the_join_definition(name):
     L = WEISNER_LATTICES[name]()
-    mu0 = L.poset.mobius_row(L.zero)
+    mu0 = L.mobius_row(L.zero)
     elements = [a for a in range(L.n) if a != L.zero]
     reports = lattices.weisner_check(L, elements)
     for a, r in zip(elements, reports):
@@ -181,12 +223,12 @@ def test_weisner_against_the_join_definition(name):
 def test_top_join_mask_and_complements_against_the_definitions(name):
     # x ^ a = 0 iff 0 is the only common lower bound of x and a
     L = WEISNER_LATTICES[name]()
-    down = L.poset.down
+    down = L.down
     for a in range(L.n):
         mask = L.top_join_mask(a)
         assert [x for x in bits(mask) if x != L.one] == joins_to_one(L, a)
         assert mask >> L.one & 1
-        assert L.complements(a) == [
+        assert bits(L.complements(a)) == [
             x for x in joins_to_one(L, a) + [L.one]
             if down[x] & down[a] == 1 << L.zero]
 
@@ -199,8 +241,8 @@ def test_weisner_count_needs_every_coatom_above_a(name):
     # makes the sum over each such y zero.  Only the witness count,
     # checked against the join definition, catches it.
     L = WEISNER_LATTICES[name]()
-    up, down = L.poset.up, L.poset.down
-    mu0 = L.poset.mobius_row(L.zero)
+    up, down = L.up, L.down
+    mu0 = L.mobius_row(L.zero)
     coatoms = L.coatoms()
     for h in coatoms:
         wrong_counts = 0
@@ -219,7 +261,7 @@ def test_weisner_count_needs_every_coatom_above_a(name):
 
 def test_edited_results_do_not_change_later_answers():
     L = boolean_lattice(3)
-    P = L.poset
+    P = L
     M = P.mobius_matrix()
     M[0][-1] = 99
     P.mobius_row(0)[1] = 99
@@ -232,7 +274,7 @@ def test_edited_results_do_not_change_later_answers():
 def test_cutset_with_atoms_and_coatoms():
     for L in (boolean_lattice(4), subspace_lattice(2, 3),
               partition_lattice(4)):
-        mu = L.poset.mobius_idx(L.zero, L.one)
+        mu = L.mobius_idx(L.zero, L.one)
         assert lattices.cutset_mobius(L, L.atoms()) == mu
         assert lattices.cutset_mobius(L, L.coatoms()) == mu
 
@@ -245,7 +287,7 @@ def test_cutset_single_element_chain():
 def test_cutset_rejects_non_cutset():
     L = boolean_lattice(3)
     with pytest.raises(LatticeError):
-        lattices.cutset_mobius(L, [L.poset.idx("1")])
+        lattices.cutset_mobius(L, [L.idx("1")])
 
 
 def chain_dfs_cutset(L, cut):
@@ -254,7 +296,7 @@ def chain_dfs_cutset(L, cut):
     `is_cutset`), or None."""
     cut = set(cut)
     succ = {}
-    for i, j in cover_pairs(L.poset):
+    for i, j in cover_pairs(L):
         succ.setdefault(i, []).append(j)
     if L.zero in cut:
         return None
@@ -325,7 +367,7 @@ def subset_walk(L, cut):
     """sum of (-1)^|T| over the nonempty subsets T of the cut whose join
     and meet both lie in {0, 1}, by walking every subset (the former
     `cutset_mobius`)."""
-    up, down = L.poset.up, L.poset.down
+    up, down = L.up, L.down
     ends = (L.zero, L.one)
 
     def walk(start, ups, downs):
@@ -356,7 +398,7 @@ def seeded_cutset(L, rng):
 def rank_gaps(L):
     """r(a) + r(b) - r(a^b) - r(avb) for every pair a < b, with join and
     meet read from the order masks (the former `lattices._rank_gaps`)."""
-    r, up, down = L.rank, L.poset.up, L.poset.down
+    r, up, down = L.rank, L.up, L.down
     for a in range(L.n):
         ua, da, ra = up[a], down[a], r[a]
         for b in range(a + 1, L.n):
@@ -420,7 +462,7 @@ def test_cutset_mobius_equals_subset_walk():
     for L in oracle_lattices():
         cuts = [seeded_cutset(L, rng) for _ in range(3)]
         if graded(L):
-            mu = L.poset.mobius_idx(L.zero, L.one)
+            mu = L.mobius_idx(L.zero, L.one)
             for k in range(1, L.height):
                 level = [x for x in range(L.n) if L.rank[x] == k]
                 assert lattices.cutset_mobius(L, level) == mu
@@ -447,7 +489,7 @@ def test_modular_factorization():
     assert r["pass"] and r["lhs"] == -8
     with pytest.raises(LatticeError):
         lattices.modular_factorization(partition_lattice(4),
-                                       partition_lattice(4).poset.idx("0011"))
+                                       partition_lattice(4).idx("0011"))
 
 
 def test_dowling_wilson():
@@ -455,7 +497,7 @@ def test_dowling_wilson():
               subspace_lattice(2, 3), partition_lattice(5)):
         r = lattices.dowling_wilson_check(L)
         assert r["pass"], r
-        assert r["permutation"][L.zero] == L.poset.labels[L.one]
+        assert r["permutation"][L.zero] == L.labels[L.one]
         for k in range(L.height // 2 + 1):
             assert lattices.top_heavy_check(L, k)["pass"]
 
@@ -541,7 +583,7 @@ def test_point_deletion():
 
 def test_interval_lattice():
     L = boolean_lattice(3)
-    sub = Lattice(interval(L.poset, "1", "123"))
+    sub = Lattice(interval(L, "1", "123"))
     assert sub.n == 4
 
 
@@ -580,7 +622,7 @@ def test_modular_factorization_on_semimodular_non_geometric():
 
 def test_modular_factorization_reports_antichain_criterion():
     L = partition_lattice(4)
-    r = lattices.modular_factorization(L, L.poset.idx("0122"))
+    r = lattices.modular_factorization(L, L.idx("0122"))
     assert r["pass"] and r["antichain_ok"] is True
 
 

@@ -274,7 +274,7 @@ def seeded_generators(count, rows=(1, 4), columns=8, seed=35):
     *seeded_generators(30, rows=(5, 8), columns=6, seed=36)])
 def test_flats_match_rank_closure_oracle(generator, q):
     # labels are the flats as column sets
-    assert oracle.same_order(flats_lattice(generator, q).poset,
+    assert oracle.same_order(flats_lattice(generator, q),
                              oracle.flats_lattice(generator, q))
 
 
@@ -336,5 +336,5 @@ def test_flats_labels_do_not_collide_past_ten_columns():
     # as digit strings, {1, 2, 13} and {12, 13} both read "1213"
     L = flats_lattice(PG32_MINUS_POINT, 2)
     assert L.n == 66
-    assert {(1, 2, 13), (12, 13)} <= set(L.poset.labels)
+    assert {(1, 2, 13), (12, 13)} <= set(L.labels)
     assert codeword_weight_check(PG32_MINUS_POINT, 2)["pass"]

@@ -34,7 +34,7 @@ def test_meet_semilattice_validated_past_400_elements():
     covers += [(chain[-1], "a"), (chain[-1], "b")]
     # two maximal elements with no common upper bound: a meet semilattice
     S = MeetSemilattice(Poset.from_covers(chain + ["a", "b"], covers))
-    assert S.meet(S.poset.idx("a"), S.poset.idx("b")) == S.poset.idx("c499")
+    assert S.meet(S.idx("a"), S.idx("b")) == S.idx("c499")
     # c and d have two maximal common lower bounds
     covers += [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]
     P = Poset.from_covers(chain + ["a", "b", "c", "d"], covers)
@@ -44,7 +44,7 @@ def test_meet_semilattice_validated_past_400_elements():
 
 
 def test_strength_conventions():
-    P = boolean_lattice(3).poset
+    P = boolean_lattice(3)
     S = MeetSemilattice(P)
     assert strength(S, [0] * P.n) == 3
     indicator = [1 if lab == "12" else 0 for lab in P.labels]
@@ -69,7 +69,7 @@ def test_restrict_to_interval_routes_agree():
 
 
 def test_restrict_at_top_is_identity():
-    P = boolean_lattice(3).poset
+    P = boolean_lattice(3)
     S = MeetSemilattice(P)
     f = alternating(P)
     fb = restrict_to_interval(S, f, P.idx("123"))
@@ -78,7 +78,7 @@ def test_restrict_at_top_is_identity():
 
 def test_integer_labels_are_not_read_as_indices():
     # D_12 has six elements labelled by ints; b is always an index
-    P = divisor_lattice(12).poset
+    P = divisor_lattice(12)
     S = MeetSemilattice(P)
     assert support_lower_bound(S, P.idx(6)) == 4
     f = {x: x for x in P.labels}
@@ -88,14 +88,14 @@ def test_integer_labels_are_not_read_as_indices():
 
 def test_support_lower_bound_closed_forms():
     for n in range(2, 9):
-        P = boolean_lattice(n).poset
+        P = boolean_lattice(n)
         S = MeetSemilattice(P)
         for t in range(n):
             b = P.idx(next(lab for lab in P.labels if len(lab) == t + 1))
             assert support_lower_bound(S, b) == 2 ** (t + 1)
     for q, n in ((2, 2), (2, 3), (2, 4), (3, 2)):
         L = subspace_lattice(q, n)
-        S = MeetSemilattice(L.poset)
+        S = MeetSemilattice(L)
         for b in range(L.n):
             t = L.rank[b] - 1
             want = 1
@@ -122,9 +122,9 @@ def test_partition_lattice_bound_closed_form():
     # block counts; the per-cell factor is sum_k S(m, k) (k-1)!
     for n in range(2, 8):
         L = partition_lattice(n)
-        S = MeetSemilattice(L.poset)
+        S = MeetSemilattice(L)
         for b in range(L.n):
-            digits = L.poset.labels[b]
+            digits = L.labels[b]
             want = 1
             for d in sorted(set(digits)):
                 want *= _cell_bound_factor(digits.count(d))
@@ -135,12 +135,12 @@ def test_partition_lattice_refutes_factorial_claim():
     # the single-block element of P(4) already gives 26, which is not a
     # factorial of anything, let alone (n - k)!
     L = partition_lattice(4)
-    S = MeetSemilattice(L.poset)
+    S = MeetSemilattice(L)
     assert support_lower_bound(S, L.one) == 26
 
 
 def test_support_theorem_equality_case():
-    P = boolean_lattice(3).poset
+    P = boolean_lattice(3)
     S = MeetSemilattice(P)
     f = alternating(P)
     report = verify_support_theorem(S, f)
@@ -150,13 +150,13 @@ def test_support_theorem_equality_case():
 
 
 def test_support_theorem_zero_function_vacuous():
-    P = boolean_lattice(2).poset
+    P = boolean_lattice(2)
     report = verify_support_theorem(MeetSemilattice(P), [0] * P.n)
     assert report["pass"] and report.get("vacuous")
 
 
 def test_support_theorem_scaling_invariance():
-    P = boolean_lattice(3).poset
+    P = boolean_lattice(3)
     S = MeetSemilattice(P)
     f = [2 * v for v in alternating(P)]
     report = verify_support_theorem(S, f)
@@ -165,7 +165,7 @@ def test_support_theorem_scaling_invariance():
 
 
 def test_support_theorem_rejects_high_support():
-    P = boolean_lattice(3).poset
+    P = boolean_lattice(3)
     S = MeetSemilattice(P)
     f = [1 if lab == "123" else 0 for lab in P.labels]
     with pytest.raises(PosetError):
@@ -175,7 +175,7 @@ def test_support_theorem_rejects_high_support():
 def test_exhaustive_strength_one_on_b4_interval():
     # every nonzero (0, +-1)-valued function of strength 1 supported on
     # a fixed 2-set interval of B(4) has support at least 4
-    P = boolean_lattice(4).poset
+    P = boolean_lattice(4)
     S = MeetSemilattice(P)
     cells = [i for i, lab in enumerate(P.labels) if len(lab) <= 2
              and set(lab) <= {"1", "2"}]

@@ -69,8 +69,8 @@ def test_closure_covers_and_linear_extension(n, density):
     # atoms and coatoms against pair scans, on a seeded lattice of sets
     L = Lattice(poset_with_zero(random.Random(f"{n}/{density}"), True,
                                 sets=True))
-    pairs = [(i, j) for i in range(L.n) for j in bits(L.poset.up[i])
-             if (L.poset.up[i] & L.poset.down[j]).bit_count() == 2]
+    pairs = [(i, j) for i in range(L.n) for j in bits(L.up[i])
+             if (L.up[i] & L.down[j]).bit_count() == 2]
     assert L.atoms() == scan_atoms(pairs, L.zero)
     assert L.coatoms() == scan_coatoms(pairs, L.one)
 
@@ -119,11 +119,11 @@ def ordinal_sum(sizes):
 
 LEVELS = [3, 5, 3, 4, 7, 3, 6, 3, 4, 5, 3]
 STRUCTURED = {
-    "Pi_6": lambda: partition_lattice(6).poset,
-    "B_7": lambda: boolean_lattice(7).poset,
-    "L_3(3)": lambda: subspace_lattice(3, 3).poset,
-    "D_55440": lambda: divisor_lattice(55440).poset,
-    "C_6 contraction": lambda: contraction_lattice(cycle_graph(6)).poset,
+    "Pi_6": lambda: partition_lattice(6),
+    "B_7": lambda: boolean_lattice(7),
+    "L_3(3)": lambda: subspace_lattice(3, 3),
+    "D_55440": lambda: divisor_lattice(55440),
+    "C_6 contraction": lambda: contraction_lattice(cycle_graph(6)),
     "ordinal sum": lambda: ordinal_sum(LEVELS),
 }
 

@@ -91,7 +91,7 @@ def test_hall_chain_sum_matches_matrix():
 def test_strict_zeta_counts_chains():
     # entry (a, b) of the square of the strict zeta matrix counts the
     # chains a < x < b
-    P = boolean_lattice(3).poset
+    P = boolean_lattice(3)
     Y = P.zeta_matrix()
     for i in range(P.n):
         Y[i][i] = 0
@@ -108,14 +108,14 @@ def test_dual_and_product():
     Q = chain(1)
     prod = Q.product(Q)
     assert prod.n == 4
-    assert is_isomorphic(prod, boolean_lattice(2).poset)
+    assert is_isomorphic(prod, boolean_lattice(2))
 
 
 def test_interval_and_restrict():
-    P = boolean_lattice(3).poset
+    P = boolean_lattice(3)
     I = interval(P, "1", "123")
     assert I.n == 4
-    assert is_isomorphic(I, boolean_lattice(2).poset)
+    assert is_isomorphic(I, boolean_lattice(2))
 
 
 def test_mobius_number_conventions():
@@ -125,7 +125,7 @@ def test_mobius_number_conventions():
     assert point.mobius_number() == 0
     two = Poset.from_covers(["x", "y"], [])
     assert two.mobius_number() == 1
-    assert boolean_lattice(2).poset.mobius_number() == 0
+    assert boolean_lattice(2).mobius_number() == 0
 
 
 def test_mobius_number_of_subset_equals_hall_chain_sum():
@@ -178,7 +178,7 @@ def test_mobius_number_matches_a_built_subposet():
 
 
 def test_json_round_trip():
-    P = boolean_lattice(2).poset
+    P = boolean_lattice(2)
     Q = poset_from_json(poset_to_json(P))
     assert Q.labels == P.labels
     assert Q.upper == P.upper

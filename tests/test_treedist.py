@@ -318,6 +318,20 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_poset_hop():
+    # a lattice or meet semilattice is the Poset it was built from, so no
+    # module reaches through an attribute named poset for the order;
+    # args.poset, the path given to --poset, is not such a hop
+    found = []
+    for path in sorted(Path(treedist.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "poset"
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id == "args")):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_no_unused_imports():
     # every name a module imports is read somewhere in it; __init__ is
     # skipped, since its imports are the package's re-exports
@@ -346,6 +360,8 @@ UNCALLED = (
     ("is_dismantlable", "order-map identity, not yet a verify-all row"),
     ("restrict_to_interval",
      "order-map identity, not yet a verify-all row"),
+    ("support_lower_bound", "the bound alone; verify_support_theorem "
+     "reads it off the column it pulls for its ledger"),
 )
 
 
