@@ -71,7 +71,7 @@ def boolean_lattice(n):
               for mask in range(1 << n)]
     arcs = [(mask, mask | 1 << i) for mask in range(1 << n)
             for i in range(n) if not mask >> i & 1]
-    return Lattice(Poset._from_arcs(labels, arcs))
+    return Lattice._from_arcs(labels, arcs)
 
 
 def chain(n):
@@ -107,7 +107,7 @@ def divisor_lattice(n):
     pos = {d: i for i, d in enumerate(divs)}
     arcs = [(pos[d], pos[d * p]) for d in divs for p in exponents
             if n % (d * p) == 0]
-    return Lattice(Poset._from_arcs(divs, arcs))
+    return Lattice._from_arcs(divs, arcs)
 
 
 def _sorted_poset(keys, labels, arcs):

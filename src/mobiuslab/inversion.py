@@ -22,25 +22,25 @@ def forward_up(P, f):
     return [sum(f[y] for y in _bits(P.up[x])) for x in range(P.n)]
 
 
+def _back_substitute(P, g, walk, sets):
+    """f(x) = g(x) - sum of f over sets[x] without x, for x along walk."""
+    f = _as_values(P, g)
+    for x in walk:
+        f[x] -= sum(f[y] for y in _bits(sets[x] ^ 1 << x))
+    return f
+
+
 def invert_up(P, g):
     """Recover f from its up-set sums g = zeta f by back-substitution:
     f(x) = g(x) - sum_{y > x} f(y), in reverse linear-extension order, so
     every f(y) is final before it is read."""
-    f = _as_values(P, g)
-    up = P.up
-    for x in reversed(range(P.n)):
-        f[x] -= sum(f[y] for y in _bits(up[x] ^ 1 << x))
-    return f
+    return _back_substitute(P, g, reversed(range(P.n)), P.up)
 
 
 def invert_down(P, g):
     """Recover f from its down-set sums: f(x) = g(x) - sum_{y < x} f(y),
     in linear-extension order."""
-    f = _as_values(P, g)
-    down = P.down
-    for x in range(P.n):
-        f[x] -= sum(f[y] for y in _bits(down[x] ^ 1 << x))
-    return f
+    return _back_substitute(P, g, range(P.n), P.down)
 
 
 def derangements(n):

@@ -51,17 +51,19 @@ class MeetSemilattice(Poset):
         """Raise error unless the scan of upper covers finds every join.
         The witness is the first pair in index order whose bound, read
         from sets (down-sets for a meet, up-sets for a join), is
-        missing.
+        missing; it is sought among the later j not above i, which in a
+        linear extension are the j > i incomparable with i.
 
         The common upper bounds of x and y have a least element z iff
         they are z's own up-set, and up-sets are distinct; dually for
-        meets.  A pair with no common bound (0) passes."""
+        meets.  A comparable pair, or one with no common bound (0), passes."""
         n, up = self.n, self.up
         joins = {*up, 0}
         if any(up[x] & up[y] not in joins
                for xs in self.upper for x, y in combinations(xs, 2)):
-            own = {*sets, 0}
-            i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+            own, every = {*sets, 0}, (1 << n) - 1
+            i, j = next((i, j) for i in range(n)
+                        for j in _bits((every ^ up[i]) >> i << i)
                         if sets[i] & sets[j] not in own)
             raise error(f"no {bound} bound for witness pair "
                         f"({self.labels[i]!r}, {self.labels[j]!r})")
@@ -174,14 +176,11 @@ def is_semimodular(L):
 
 
 def is_atomistic(L):
-    atoms = L.atoms()
-    for x in range(L.n):
-        if x == L.zero:
-            continue
-        below = [p for p in atoms if L.up[p] >> x & 1]
-        if L.join_set(below) != x:
-            return False
-    return True
+    """Every x is the join of the atoms below it iff every join-
+    irreducible x != 0 (covering one element) is an atom (covering 0
+    alone), as each x is the join of the join-irreducibles below it."""
+    return all(L.lower[x] == [L.zero] for x in join_irreducibles(L)
+               if x != L.zero)
 
 
 def is_geometric(L):

@@ -186,7 +186,8 @@ class Poset:
             for j in upper[i]:
                 u |= up[j]
             up[i] = u
-        return cls([labels[i] for i in topo], up, down, upper, lower)
+        P = Poset([labels[i] for i in topo], up, down, upper, lower)
+        return P if cls is Poset else cls(P)
 
     @staticmethod
     def _report_cycle(labels, succ, placed):

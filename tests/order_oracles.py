@@ -2,9 +2,10 @@
 by depth-first search, Kahn's order by a linear scan for the smallest
 ready index, Mobius rows by back-substitution over frozensets, Hall's
 chain sums, chain counts by listing every chain, joins and meets by
-searching the common bounds of a pair, order isomorphism by
-backtracking, and down-set sums.  Also the dual and the intervals of a
-poset, built through the public constructors.  Imported by
+searching the common bounds of a pair, atomicity by joining the atoms
+below each element, order isomorphism by backtracking, and down-set
+sums.  Also the dual and the intervals of a poset, built through the
+public constructors.  Imported by
 test_acceptance.py, test_complexes.py, test_instances.py,
 test_inversion.py, test_lattice_properties.py, test_lattice_seeded.py,
 test_lattices.py, test_order_kernel.py, test_order_seeded.py and
@@ -258,6 +259,22 @@ def greatest_lower_bound(P, i, j):
     lower = P.down[i] & P.down[j]
     greatest = [k for k in bits(lower) if P.down[k] & lower == lower]
     return greatest[0] if greatest else None
+
+
+def joins_of_atoms(L):
+    """True iff every element of the lattice L is the join of the atoms
+    below it: the common upper bounds of those atoms are exactly its own
+    up-set.  With no atom below it, they are every element, which is
+    the up-set of 0 alone."""
+    atoms = [p for p, m in enumerate(L.down) if m.bit_count() == 2]
+    for x in range(L.n):
+        common = (1 << L.n) - 1
+        for p in atoms:
+            if L.up[p] >> x & 1:
+                common &= L.up[p]
+        if common != L.up[x]:
+            return False
+    return True
 
 
 def incomparable_pairs(P):

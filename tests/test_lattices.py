@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from order_oracles import (bits, cover_pairs, first_unbounded_pair,
-                           interval, poset_with_zero)
+                           interval, joins_of_atoms, poset_with_zero)
 from mobiuslab import lattices
 from mobiuslab.instances import (boolean_lattice, chain, complete_graph,
                                  contraction_lattice, cycle_graph,
@@ -13,7 +13,8 @@ from mobiuslab.instances import (boolean_lattice, chain, complete_graph,
                                  partition_lattice, subspace_lattice)
 from mobiuslab.lattices import (Lattice, LatticeError, MeetSemilattice,
                                 NotRankedError)
-from mobiuslab.posets import Poset, poset_from_json, poset_to_json
+from mobiuslab.posets import (Poset, PosetError, poset_from_json,
+                              poset_to_json)
 
 
 def test_non_lattice_witness():
@@ -67,6 +68,37 @@ def test_a_lattice_is_the_poset_it_was_built_from(name):
             assert (poset_to_json(L.restrict(keep))
                     == poset_to_json(P.restrict(keep)))
         assert not hasattr(L, "poset")
+
+
+def index_arcs(labels, covers):
+    index = {lab: i for i, lab in enumerate(labels)}
+    return [(index[lo], index[hi]) for lo, hi in covers]
+
+
+@pytest.mark.parametrize("cls", [Lattice, MeetSemilattice])
+def test_inherited_builders_return_a_checked_instance(cls):
+    # from_covers and _from_arcs build the Poset and hand it to the class
+    for labels, covers in ((["a", "b"], [("a", "b")]), M3):
+        expected = cls(Poset.from_covers(labels, covers))
+        for built in (cls.from_covers(labels, covers),
+                      cls._from_arcs(labels, index_arcs(labels, covers))):
+            assert type(built) is cls
+            assert ((built.labels, built.up, built.down, built.upper,
+                     built.lower, built.zero)
+                    == (expected.labels, expected.up, expected.down,
+                        expected.upper, expected.lower, expected.zero))
+    labels, covers = bowtie_on_chain(1)
+    arcs = index_arcs(labels, covers)
+    bound, witness = {Lattice: ("least upper", "('a', 'b')"),
+                      MeetSemilattice: ("greatest lower", "('c', 'd')")}[cls]
+    for build in (lambda: cls.from_covers(labels, covers),
+                  lambda: cls._from_arcs(labels, arcs)):
+        with pytest.raises(PosetError) as err:
+            build()
+        assert type(err.value) is (LatticeError if cls is Lattice
+                                   else PosetError)
+        assert str(err.value) == (f"no {bound} bound for witness pair "
+                                  + witness)
 
 
 def test_join_meet_tables():
@@ -454,6 +486,39 @@ def test_semimodular_and_modular_equal_rank_gap_oracles():
     assert min(seen.values()) >= 5
 
 
+def seeded_lattices(count):
+    """The first count lattices among the posets from poset_with_zero
+    with a top."""
+    for seed in range(4 * count):
+        P = poset_with_zero(random.Random(seed), top=True,
+                            sets=seed % 3 == 0)
+        if first_unbounded_pair(P, ("upper",)) is None:
+            yield Lattice(P)
+            count -= 1
+            if not count:
+                return
+    raise AssertionError("too few seeds gave a lattice")
+
+
+def test_atomistic_by_join_irreducibles_equals_joins_of_atoms():
+    families = [boolean_lattice(n) for n in range(8)]
+    families += [partition_lattice(n) for n in range(1, 7)]
+    families += [divisor_lattice(m) for m in (1, 2, 12, 30, 72, 210, 360)]
+    families += [subspace_lattice(q, n) for q, n in ((2, 1), (2, 2), (2, 3),
+                                                    (3, 2), (2, 4))]
+    families += [Lattice(chain(n)) for n in range(4)]
+    families += [contraction_lattice(cycle_graph(k)) for k in range(3, 7)]
+    # both verdicts occur in each group: among the families, D_12, D_72
+    # and the chains of length 2 or more are not atomistic
+    for group in (families, seeded_lattices(1200)):
+        seen = Counter()
+        for L in group:
+            verdict = joins_of_atoms(L)
+            assert lattices.is_atomistic(L) == verdict
+            seen[verdict] += 1
+        assert len(seen) == 2
+
+
 def test_cutset_mobius_equals_subset_walk():
     # on any cutset against the walk; on the rank levels, which are
     # crosscuts, also against mu by the crosscut theorem
@@ -604,6 +669,33 @@ def test_non_lattice_rejected_at_every_size():
         with pytest.raises(LatticeError, match=r"^no least upper bound for "
                            r"witness pair \('a', 'b'\)$"):
             Lattice(P)
+
+
+def test_witness_search_reads_each_set_about_once():
+    # comparable pairs always have both bounds, so only the later
+    # elements not above i are paired with i: on a chain with a bowtie
+    # on top that is a few pairs, not the ~n^2/2 of an all-pairs search
+    labels, covers = bowtie_on_chain(1500)
+    reads = 0
+
+    class Counting(list):
+        def __getitem__(self, i):
+            nonlocal reads
+            reads += 1
+            return super().__getitem__(i)
+
+    # the meet semilattice is the same chain and bowtie without the top
+    for cls, P, message in (
+            (Lattice, Poset.from_covers(labels, covers),
+             "no least upper bound for witness pair ('a', 'b')"),
+            (MeetSemilattice, Poset.from_covers(labels[:-1], covers[:-2]),
+             "no greatest lower bound for witness pair ('c', 'd')")):
+        P.up, P.down = Counting(P.up), Counting(P.down)
+        reads = 0
+        with pytest.raises(PosetError) as err:
+            cls(P)
+        assert str(err.value) == message
+        assert reads <= 4 * P.n
 
 
 def test_modular_factorization_on_semimodular_non_geometric():
