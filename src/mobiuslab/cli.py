@@ -2,10 +2,11 @@
 run identity-verification suites with deterministic JSON output.
 
 Every subcommand is one row of the table `_COMMANDS`, from which one
-parser is built per import.  `main` parses the arguments with it, loads
-the input the row names, looks the row's handler up by name in this
-module, calls it and writes what it returns: a JSON object, or CSV
-rows."""
+parser is built per import.  `main` parses the arguments with the named
+subcommand's part of it, or with the whole when that part cannot take
+them all, loads the input the row names, looks the row's handler up by
+name in this module, calls it and writes what it returns: a JSON object,
+or CSV rows."""
 
 import argparse
 import json
@@ -206,16 +207,19 @@ def cmd_zeta(args, P):
 
 def cmd_invert(args, P):
     if args.function is None:
+        if args.direction is not None:
+            raise InputError("--direction applies only with --function")
         return _matrix(args, P, "mobius", P.mobius_matrix(), "Mobius matrix")
     if args.csv:
         raise InputError("--csv does not apply with --function")
     g = _load_function(P, args.function)
-    if args.direction == "up":
+    direction = args.direction or "up"
+    if direction == "up":
         f = inversion.invert_up(P, g)
     else:
         f = inversion.invert_down(P, g)
     return ({"values": {str(lab): f[i] for i, lab in enumerate(P.labels)}},
-            f"inverted {args.direction}-sums on {P.n} elements")
+            f"inverted {direction}-sums on {P.n} elements")
 
 
 def cmd_chains(args, P):
@@ -454,10 +458,14 @@ def _suite(seed):
 
     def check_cutset():
         # the rank levels of a graded lattice, atoms to coatoms, are crosscuts
-        return all(lattices.cutset_mobius(L, [x for x in range(L.n)
-                                              if L.rank[x] == k])
-                   == L.mobius_idx(L.zero, L.one)
-                   for L in (B3, L23) for k in range(1, L.height))
+        for L in (B3, L23):
+            r = L.rank
+            if any(lattices.cutset_mobius(L, [x for x in range(L.n)
+                                              if r[x] == k])
+                   != L.mobius_idx(L.zero, L.one)
+                   for k in range(1, L.height)):
+                return False
+        return True
     items.append(("cutset alternating sum", check_cutset))
 
     def check_walker():
@@ -575,7 +583,7 @@ _COMMANDS = [
     ("invert", "Mobius matrix, or invert a function's order sums",
      "poset", cmd_invert,
      {"--function": {},
-      "--direction": {"choices": ("up", "down"), "default": "up"},
+      "--direction": {"choices": ("up", "down")},
       "--csv": _CSV}),
     ("chains", "chains between two elements", "poset", cmd_chains,
      {"--from": _REQUIRED, "--to": _REQUIRED}),
@@ -604,23 +612,39 @@ _COMMANDS = [
 
 
 def _build_parser():
+    """The top-level parser, and each subcommand's parser by name."""
     ap = argparse.ArgumentParser(
         prog="mobiuslab",
         description="Mobius functions of finite posets: computations and "
                     "identity checks")
     sub = ap.add_subparsers(dest="command", required=True)
+    parsers = {}
     for name, text, kind, handler, options in _COMMANDS:
-        p = sub.add_parser(name, help=text)
+        p = parsers[name] = sub.add_parser(name, help=text)
         if kind is not None:
             p.add_argument("--graph" if kind == "graph" else "--poset",
                            required=True)
         for flag, keywords in options.items():
             p.add_argument(flag, **keywords)
         p.set_defaults(handler=handler.__name__, input=kind)
-    return ap
+    return ap, parsers
 
 
-_PARSER = _build_parser()
+_PARSER, _SUBPARSERS = _build_parser()
+
+
+def _parse(argv):
+    """The namespace `_PARSER.parse_args(argv)` gives.  When argv names a
+    command first, that command's parser reads the rest, as `_PARSER`
+    would hand it over; it prints and exits the same way on help or an
+    error.  Only if it leaves arguments over, or argv names no command,
+    does `_PARSER` parse argv, so each usage and error text is its own."""
+    if argv and argv[0] in _SUBPARSERS:
+        args, rest = _SUBPARSERS[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def _load_input(args):
@@ -641,7 +665,7 @@ def _load_input(args):
 
 def main(argv=None):
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     handler = globals()[args.handler]

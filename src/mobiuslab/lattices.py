@@ -17,10 +17,36 @@ class NotRankedError(LatticeError):
     pass
 
 
-def _extremes(sets):
-    """The elements whose set holds only themselves: the minimal ones
-    given the down-sets, the maximal ones given the up-sets."""
-    return [i for i, m in enumerate(sets) if m == 1 << i]
+def _extremes(covers):
+    """The elements with nothing on one side: the minimal ones given the
+    lower cover lists, the maximal ones given the upper."""
+    return [i for i, cov in enumerate(covers) if not cov]
+
+
+def _meets_of_covers(lower, down):
+    """True iff, in a poset with a zero, any two elements covered by a
+    common element have a meet.  Their common lower bounds c, never 0,
+    have a greatest element iff c is the down-set of its highest bit, as
+    a meet follows every other lower bound in the linear extension."""
+    for xs in lower:
+        for x, y in combinations(xs, 2):
+            c = down[x] & down[y]
+            if c != down[c.bit_length() - 1]:
+                return False
+    return True
+
+
+def _joins_of_covers(upper, up):
+    """True iff any two elements covering a common element have a join
+    or no common upper bound: their common upper bounds c are 0 or the
+    up-set of the lowest bit of c, as a join precedes every other upper
+    bound in the linear extension."""
+    for xs in upper:
+        for x, y in combinations(xs, 2):
+            c = up[x] & up[y]
+            if c and c != up[(c & -c).bit_length() - 1]:
+                return False
+    return True
 
 
 class MeetSemilattice(Poset):
@@ -35,38 +61,36 @@ class MeetSemilattice(Poset):
         self._share(poset)
         if self.n == 0:
             raise PosetError("empty poset is not a meet semilattice")
-        minimals = _extremes(self.down)
+        minimals = _extremes(self.lower)
         if len(minimals) != 1:
             raise PosetError(f"{len(minimals)} minimal elements; a meet "
                              "semilattice has a unique zero")
         self.zero = minimals[0]
-        self._check_bounds(self.down, PosetError, "greatest lower")
+        # there may be no top, so the pairs of upper covers are scanned
+        if not _joins_of_covers(self.upper, self.up):
+            self._raise_witness(self.down, lambda c: c.bit_length() - 1,
+                                PosetError, "greatest lower")
 
     def _share(self, P):
         """Take P's labels, index and order lists as they are."""
         (self.labels, self.n, self.index, self.up, self.down, self.upper,
          self.lower) = P.labels, P.n, P.index, P.up, P.down, P.upper, P.lower
 
-    def _check_bounds(self, sets, error, bound):
-        """Raise error unless the scan of upper covers finds every join.
-        The witness is the first pair in index order whose bound, read
-        from sets (down-sets for a meet, up-sets for a join), is
-        missing; it is sought among the later j not above i, which in a
-        linear extension are the j > i incomparable with i.
-
-        The common upper bounds of x and y have a least element z iff
-        they are z's own up-set, and up-sets are distinct; dually for
-        meets.  A comparable pair, or one with no common bound (0), passes."""
-        n, up = self.n, self.up
-        joins = {*up, 0}
-        if any(up[x] & up[y] not in joins
-               for xs in self.upper for x, y in combinations(xs, 2)):
-            own, every = {*sets, 0}, (1 << n) - 1
-            i, j = next((i, j) for i in range(n)
-                        for j in _bits((every ^ up[i]) >> i << i)
-                        if sets[i] & sets[j] not in own)
-            raise error(f"no {bound} bound for witness pair "
-                        f"({self.labels[i]!r}, {self.labels[j]!r})")
+    def _raise_witness(self, sets, end, error, bound):
+        """Raise error naming the first pair in index order whose bound
+        is missing.  The bounds are read from sets (down-sets for a meet,
+        up-sets for a join): the common bounds c of the pair have one
+        iff c is 0 or c is the set of its bit end(c), the highest for a
+        meet and the lowest for a join.  The pair is sought among the
+        later j not above i, which in a linear extension are the j > i
+        incomparable with i; a comparable pair has both bounds."""
+        up, every = self.up, (1 << self.n) - 1
+        for i in range(self.n):
+            for j in _bits((every ^ up[i]) >> i << i):
+                c = sets[i] & sets[j]
+                if c and c != sets[end(c)]:
+                    raise error(f"no {bound} bound for witness pair "
+                                f"({self.labels[i]!r}, {self.labels[j]!r})")
 
     def meet(self, i, j):
         return (self.down[i] & self.down[j]).bit_length() - 1
@@ -83,7 +107,7 @@ class Lattice(MeetSemilattice):
         self._share(poset)
         if self.n == 0:
             raise LatticeError("empty poset is not a lattice")
-        minimals, maximals = _extremes(self.down), _extremes(self.up)
+        minimals, maximals = _extremes(self.lower), _extremes(self.upper)
         if len(minimals) != 1 or len(maximals) != 1:
             raise LatticeError("poset is not bounded: "
                                f"{len(minimals)} minimal / "
@@ -91,9 +115,14 @@ class Lattice(MeetSemilattice):
         self.zero = minimals[0]
         self.one = maximals[0]
         self._rank = None
-        # no pair before the first one with no join lacks a meet, as two
-        # maximal lower bounds would lack a join
-        self._check_bounds(self.up, LatticeError, "least upper")
+        # a bounded poset is a lattice iff every pair has a meet: the
+        # criterion of MeetSemilattice on the dual order, which pairs
+        # lower covers.  The witness is the first pair with no join; no
+        # pair before it lacks a meet, as two maximal lower bounds would
+        # lack a join
+        if not _meets_of_covers(self.lower, self.down):
+            self._raise_witness(self.up, lambda c: (c & -c).bit_length() - 1,
+                                LatticeError, "least upper")
 
     def join(self, i, j):
         # a join precedes every other upper bound in the linear extension
@@ -109,17 +138,30 @@ class Lattice(MeetSemilattice):
     @property
     def rank(self):
         """Per-element rank (longest chain from zero) as a tuple,
-        validated against the Jordan-Dedekind condition."""
+        validated against the Jordan-Dedekind condition.  One pass over
+        the lower covers: those of an element share one rank, and its own
+        is one more."""
         if self._rank is None:
-            r = self.heights()
-            for i, cov in enumerate(self.upper):
-                for j in cov:
-                    if r[j] != r[i] + 1:
-                        raise NotRankedError(
-                            "unequal maximal chains below witness pair "
-                            f"({self.labels[i]!r}, {self.labels[j]!r})")
+            r = []
+            for cov in self.lower:
+                k = r[cov[0]] if cov else -1
+                for i in cov:
+                    if r[i] != k:
+                        self._raise_unranked()
+                r.append(k + 1)
             self._rank = tuple(r)
         return self._rank
+
+    def _raise_unranked(self):
+        """Raise NotRankedError naming the first cover pair, in the order
+        of the upper cover lists, whose heights differ by more than 1."""
+        r = self.heights()
+        for i, cov in enumerate(self.upper):
+            for j in cov:
+                if r[j] != r[i] + 1:
+                    raise NotRankedError(
+                        "unequal maximal chains below witness pair "
+                        f"({self.labels[i]!r}, {self.labels[j]!r})")
 
     @property
     def height(self):
@@ -208,18 +250,19 @@ def is_modular_lattice(L):
 
 def whitney_numbers(L):
     """W_k = number of elements of rank k."""
-    counts = [0] * (L.height + 1)
-    for x in range(L.n):
-        counts[L.rank[x]] += 1
+    r = L.rank
+    counts = [0] * (r[L.one] + 1)
+    for k in r:
+        counts[k] += 1
     return counts
 
 
 def whitney_rank_sums(L):
     """Signed sums w_k = sum_{r(a)=k} mu(0, a)."""
-    mu0 = L.mobius_row(L.zero)
-    sums = [0] * (L.height + 1)
-    for x in range(L.n):
-        sums[L.rank[x]] += mu0[x]
+    r = L.rank
+    sums = [0] * (r[L.one] + 1)
+    for k, m in zip(r, L.mobius_row(L.zero)):
+        sums[k] += m
     return sums
 
 

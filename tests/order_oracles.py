@@ -46,6 +46,20 @@ def scan_heights(n, pairs):
     return h
 
 
+def graded_heights(P):
+    """(heights, None) if every cover pair (i, j) of P has
+    h(j) = h(i) + 1, where h is the longest chain up from a minimal
+    element, else (None, (i, j)) for the first pair that does not, in
+    the order of `cover_pairs`: the former upper-order scan of
+    `Lattice.rank`."""
+    pairs = cover_pairs(P)
+    h = scan_heights(P.n, pairs)
+    for i, j in pairs:
+        if h[j] != h[i] + 1:
+            return None, (i, j)
+    return h, None
+
+
 def scan_atoms(pairs, zero):
     """The elements covering zero, by a scan of the cover pairs."""
     return sorted(j for i, j in pairs if i == zero)

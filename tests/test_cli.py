@@ -1,11 +1,13 @@
 import argparse
 import importlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -148,6 +150,20 @@ def test_invert_csv_refused_with_function(capsys, b3, tmp_path):
                          "--function", str(fpath), "--csv")
     assert (code, out) == (2, "")
     assert err == "error: --csv does not apply with --function\n"
+
+
+def test_invert_direction_refused_without_function(capsys, b3, tmp_path):
+    # --direction picks the order sums that --function inverts; without
+    # it the flag would do nothing
+    code, out, err = run(capsys, "invert", "--poset", b3,
+                         "--direction", "down")
+    assert (code, out) == (2, "")
+    assert err == "error: --direction applies only with --function\n"
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps({"": 1}))
+    code, _, err = run(capsys, "invert", "--poset", b3,
+                       "--function", str(fpath))
+    assert (code, err) == (0, "inverted up-sums on 8 elements\n")
 
 
 def test_json_booleans_are_not_integers(capsys, b3, tmp_path):
@@ -785,3 +801,71 @@ def test_main_builds_no_parser(capsys, b3, monkeypatch):
     assert run(capsys, "euler", "--poset", b3)[0] == 0
     assert run(capsys, "gen", "--n", "x")[0] == 2
     assert built == []
+
+
+def _row_argvs():
+    """For each row of the command table, its shortest command line and
+    one that gives every flag."""
+    for name, _, kind, _, options in cli._COMMANDS:
+        given = [] if kind is None else [
+            "--graph" if kind == "graph" else "--poset", "in.json"]
+        needed, every = [name, *given], [name, *given]
+        for flag, keywords in options.items():
+            if keywords.get("action") == "store_true":
+                every.append(flag)
+                continue
+            value = {int: "3", float: "0.5"}.get(keywords.get("type"), "a")
+            value = keywords.get("choices", [value])[-1]
+            every += [flag, value]
+            if keywords.get("required"):
+                needed += [flag, value]
+        yield needed
+        yield every
+
+
+_PARSE_CASES = [*_row_argvs(),
+                [], ["-h"], ["--help"], ["tree", "-h"], ["cutset", "--help"],
+                ["-h", "tree"], ["nope"], ["nope", "--n", "4"],
+                ["tree", "--n", "4", "--det"], ["tree", "tree"],
+                ["tree", "--se", "3"], ["weisner", "--poset", "p", "--el",
+                                        "a"],
+                ["gen", "--family=chain", "--n=4"],
+                ["tree", "--", "--n", "4"], ["tree", "--n", "4", "--"],
+                ["--", "tree"], ["gen", "--family", "chain", "--n", "-3"],
+                ["tree", "--n", "x"], ["gen", "--family", "chain", "--q"],
+                ["invert", "--poset", "p", "--direction", "sideways"],
+                ["mu", "--poset", "p", "--from", "a"],
+                ["tree", "--n", "4", "--n", "5"]]
+
+
+def _parse_outcome(parse, argv):
+    """(namespace, exit code, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    namespace = code = None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            namespace = parse(list(argv))
+        except SystemExit as e:
+            code = e.code
+    return namespace, code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", _PARSE_CASES, ids=" ".join)
+def test_subcommand_parse_equals_the_whole_parser(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert (_parse_outcome(cli._parse, argv)
+            == _parse_outcome(cli._PARSER.parse_args, argv))
+
+
+def test_parse_cases_reach_each_outcome():
+    outcomes = [_parse_outcome(cli._PARSER.parse_args, argv)[:2]
+                for argv in _PARSE_CASES]
+    assert {code for _, code in outcomes} == {None, 0, 2}
+    commands = {ns.command for ns, _ in outcomes if ns is not None}
+    assert commands == {row[0] for row in cli._COMMANDS}
+
+
+def test_a_whole_command_line_is_read_by_its_own_parser(monkeypatch):
+    monkeypatch.setattr(cli._PARSER, "parse_args", None)
+    for argv in _row_argvs():
+        assert cli._parse(argv).command == argv[0]

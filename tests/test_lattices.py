@@ -5,7 +5,8 @@ from collections import Counter
 import pytest
 
 from order_oracles import (bits, cover_pairs, first_unbounded_pair,
-                           interval, joins_of_atoms, poset_with_zero)
+                           graded_heights, interval, joins_of_atoms, pair,
+                           poset_with_zero)
 from mobiuslab import lattices
 from mobiuslab.instances import (boolean_lattice, chain, complete_graph,
                                  contraction_lattice, cycle_graph,
@@ -500,7 +501,9 @@ def seeded_lattices(count):
     raise AssertionError("too few seeds gave a lattice")
 
 
-def test_atomistic_by_join_irreducibles_equals_joins_of_atoms():
+def family_lattices():
+    """B_0..B_7, Pi_1..Pi_6, seven divisor lattices, five L_n(q), the
+    chains of length 0..3 and the contraction lattices of C_3..C_6."""
     families = [boolean_lattice(n) for n in range(8)]
     families += [partition_lattice(n) for n in range(1, 7)]
     families += [divisor_lattice(m) for m in (1, 2, 12, 30, 72, 210, 360)]
@@ -508,6 +511,11 @@ def test_atomistic_by_join_irreducibles_equals_joins_of_atoms():
                                                     (3, 2), (2, 4))]
     families += [Lattice(chain(n)) for n in range(4)]
     families += [contraction_lattice(cycle_graph(k)) for k in range(3, 7)]
+    return families
+
+
+def test_atomistic_by_join_irreducibles_equals_joins_of_atoms():
+    families = family_lattices()
     # both verdicts occur in each group: among the families, D_12, D_72
     # and the chains of length 2 or more are not atomistic
     for group in (families, seeded_lattices(1200)):
@@ -696,6 +704,81 @@ def test_witness_search_reads_each_set_about_once():
             cls(P)
         assert str(err.value) == message
         assert reads <= 4 * P.n
+
+
+class CountingIter(list):
+    """A list that counts the passes made over it whole."""
+    passes = 0
+
+    def __iter__(self):
+        CountingIter.passes += 1
+        return super().__iter__()
+
+
+def with_counted_sets(P):
+    """P's labels and cover lists, with up- and down-sets that count the
+    passes over them."""
+    return Poset(P.labels, CountingIter(P.up), CountingIter(P.down),
+                 P.upper, P.lower)
+
+
+def test_recognition_makes_no_pass_over_the_masks():
+    # the cover scans, the bounds and the witness search read single
+    # sets by index; a pass over all of them (to hash them, say) costs
+    # O(n) big-int reads however few cover pairs there are
+    labels, covers = bowtie_on_chain(1500)
+    cases = [(cls, L, None) for cls in (Lattice, MeetSemilattice)
+             for L in (boolean_lattice(3), boolean_lattice(7),
+                       partition_lattice(4), partition_lattice(6))]
+    cases += [
+        (Lattice, Poset.from_covers(labels, covers),
+         "no least upper bound for witness pair ('a', 'b')"),
+        (MeetSemilattice, Poset.from_covers(labels, covers),
+         "no greatest lower bound for witness pair ('c', 'd')"),
+        (MeetSemilattice, Poset.from_covers(labels[:-1], covers[:-2]),
+         "no greatest lower bound for witness pair ('c', 'd')")]
+    for cls, P, message in cases:
+        P = with_counted_sets(P)
+        CountingIter.passes = 0
+        if message is None:
+            assert cls(P).n == P.n
+        else:
+            with pytest.raises(PosetError) as err:
+                cls(P)
+            assert str(err.value) == message
+        assert CountingIter.passes == 0, (cls, P.n)
+
+
+def test_twenty_thousand_elements_recognised_without_a_pass():
+    # the 20,005-element chain with a bowtie on top is rejected and the
+    # 20,000-element chain accepted and ranked, each in a few pair tests
+    P = with_counted_sets(Poset.from_covers(*bowtie_on_chain(20000)))
+    CountingIter.passes = 0
+    with pytest.raises(LatticeError, match=r"^no least upper bound for "
+                       r"witness pair \('a', 'b'\)$"):
+        Lattice(P)
+    del P
+    L = Lattice(with_counted_sets(chain(19999)))
+    assert L.n == 20000 and L.rank[L.one] == 19999 == L.height
+    assert CountingIter.passes == 0
+
+
+def test_one_pass_rank_equals_longest_chains():
+    # on graded lattices the ranks are the longest-chain heights; on the
+    # others the witness is the first cover pair of the upper-order scan
+    seen = Counter()
+    for L in [*family_lattices(), *oracle_lattices(),
+              *seeded_lattices(1200)]:
+        heights, witness = graded_heights(L)
+        if witness is None:
+            assert L.rank == tuple(heights) and L.height == heights[L.one]
+        else:
+            with pytest.raises(NotRankedError) as err:
+                L.rank
+            assert str(err.value) == ("unequal maximal chains below "
+                                      "witness pair " + pair(L, *witness))
+        seen[witness is None] += 1
+    assert min(seen[True], seen[False]) >= 100
 
 
 def test_modular_factorization_on_semimodular_non_geometric():
